@@ -72,32 +72,61 @@ let verify_request ?(log_level = 0) (session : Loader.t)
 
 (* -- JSONL codec ----------------------------------------------------- *)
 
-let hex_of_bytes (b : Bytes.t) : string =
-  let out = Buffer.create (2 * Bytes.length b) in
-  Bytes.iter
-    (fun c -> Printf.bprintf out "%02x" (Char.code c))
-    b;
-  Buffer.contents out
+let hex_digits = "0123456789abcdef"
 
+let hex_of_bytes (b : Bytes.t) : string =
+  let n = Bytes.length b in
+  let out = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Bytes.get_uint8 b i in
+    Bytes.set out (2 * i) hex_digits.[c lsr 4];
+    Bytes.set out ((2 * i) + 1) hex_digits.[c land 0xf]
+  done;
+  Bytes.unsafe_to_string out
+
+(* Per input byte: its value for a hex digit, [hex_space] for the JSON
+   whitespace the decoder skips, [hex_bad] for anything else. *)
+let hex_space = 16
+let hex_bad = 17
+
+let hex_table : string =
+  String.init 256 (fun i ->
+      Char.chr
+        (match Char.chr i with
+         | '0' .. '9' -> i - Char.code '0'
+         | 'a' .. 'f' -> i - Char.code 'a' + 10
+         | 'A' .. 'F' -> i - Char.code 'A' + 10
+         | ' ' | '\t' | '\n' | '\r' -> hex_space
+         | _ -> hex_bad))
+
+(* One pass, digit pairs straight into the output; [hi] is the pending
+   high nibble, -1 when none.  A non-hex character anywhere wins over
+   an odd digit count.  The unsafe accesses are in range: [i < n], the
+   table covers every byte, and [k] stays below the [n / 2] pairs that
+   [n] characters can hold. *)
 let bytes_of_hex (s : string) : (Bytes.t, string) result =
-  let digits = Buffer.create (String.length s) in
-  (try
-     String.iter
-       (fun c ->
-          match c with
-          | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> Buffer.add_char digits c
-          | ' ' | '\t' | '\n' | '\r' -> ()
-          | _ -> raise Exit)
-       s
-   with Exit -> Buffer.clear digits; Buffer.add_char digits 'x');
-  let h = Buffer.contents digits in
-  let n = String.length h in
-  if h = "x" then Error "prog is not hex"
-  else if n mod 2 <> 0 then Error "prog hex has an odd digit count"
-  else
-    Ok
-      (Bytes.init (n / 2) (fun i ->
-           Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2))))
+  let n = String.length s in
+  let out = Bytes.create (n / 2) in
+  let rec go i k hi =
+    if i = n then
+      if hi >= 0 then Error "prog hex has an odd digit count"
+      else if k = Bytes.length out then Ok out
+      else Ok (Bytes.sub out 0 k)
+    else
+      let v =
+        Char.code
+          (String.unsafe_get hex_table (Char.code (String.unsafe_get s i)))
+      in
+      if v < hex_space then
+        if hi < 0 then go (i + 1) k v
+        else begin
+          Bytes.unsafe_set out k (Char.unsafe_chr ((hi lsl 4) lor v));
+          go (i + 1) (k + 1) (-1)
+        end
+      else if v = hex_space then go (i + 1) k hi
+      else Error "prog is not hex"
+  in
+  go 0 0 (-1)
 
 let decode_prog (bytes : Bytes.t) :
   (Insn.t array, string) result =
@@ -106,14 +135,22 @@ let decode_prog (bytes : Bytes.t) :
   | Error { Encode.pos; reason } ->
     Error (Printf.sprintf "bad program at slot %d: %s" pos reason)
 
-(* Parse one request line; on failure, recover the id when the line
-   got far enough to carry one, so the error response still names the
-   caller's request. *)
-let parse_request (line : string) :
-  (request, string option * string) result =
+(* A request line's fields, or [None] when it is not a flat JSON
+   object.  Every line is parsed exactly once: serve dispatches metrics
+   and program requests from the same field list. *)
+let parse_line (line : string) : (string * Telemetry.jvalue) list option =
   match Telemetry.parse_object (String.trim line) with
-  | exception Telemetry.Parse -> Error (None, "malformed JSON")
-  | fields ->
+  | fields -> Some fields
+  | exception Telemetry.Parse -> None
+
+(* Fields -> request; on failure, recover the id when the line got far
+   enough to carry one, so the error response still names the caller's
+   request. *)
+let request_of_fields (parsed : (string * Telemetry.jvalue) list option) :
+  (request, string option * string) result =
+  match parsed with
+  | None -> Error (None, "malformed JSON")
+  | Some fields ->
     let str k =
       match List.assoc_opt k fields with
       | Some (Telemetry.Jstr s) -> Some s
@@ -154,13 +191,13 @@ let parse_request (line : string) :
     | _, Error e -> Error (id, e)
 
 let request_of_json (line : string) : (request, string) result =
-  match parse_request line with
+  match request_of_fields (parse_line line) with
   | Ok r -> Ok r
   | Error (Some id, msg) -> Error (Printf.sprintf "%s: %s" id msg)
   | Error (None, msg) -> Error msg
 
 let input_of_json ~(fallback_id : string) (line : string) : input =
-  match parse_request line with
+  match request_of_fields (parse_line line) with
   | Ok r -> { in_id = r.q_id; in_req = Ok r.q_req }
   | Error (id, msg) ->
     { in_id = Option.value id ~default:fallback_id; in_req = Error msg }
@@ -472,21 +509,6 @@ type serve_stats = {
   sv_misses : int;
 }
 
-(* A metrics request is any object with "metrics":true — it never
-   parses as a program request (those require prog_type and prog), so
-   the two request shapes cannot collide.  Returns the echoed id. *)
-let metrics_request (line : string) : string option =
-  match Telemetry.parse_object (String.trim line) with
-  | exception Telemetry.Parse -> None
-  | fields ->
-    (match List.assoc_opt "metrics" fields with
-     | Some (Telemetry.Jbool true) ->
-       Some
-         (match List.assoc_opt "id" fields with
-          | Some (Telemetry.Jstr s) -> s
-          | _ -> "metrics")
-     | _ -> None)
-
 let metrics_to_json ~(id : string) ~(requests : int) ~(invalid : int)
     ~(admitted : int) ~(rejected : int) ~(hits : int) ~(misses : int)
     ~(verify_s : float list) ~(le_100us : int) ~(le_1ms : int)
@@ -524,23 +546,36 @@ let serve ?(log_level = 0) ?(sink = Telemetry.null)
   let le_10ms = ref 0 and gt_10ms = ref 0 in
   let lineno = ref 0 in
   let respond (line : string) : unit =
-    match metrics_request line with
-    | Some id ->
+    let parsed = parse_line line in
+    (* A metrics request is any object with "metrics":true — it never
+       parses as a program request (those require prog_type and prog),
+       so the two request shapes cannot collide. *)
+    match parsed with
+    | Some fields
+      when List.assoc_opt "metrics" fields = Some (Telemetry.Jbool true) ->
+      let id =
+        match List.assoc_opt "id" fields with
+        | Some (Telemetry.Jstr s) -> s
+        | _ -> "metrics"
+      in
       output_string oc
         (metrics_to_json ~id ~requests:!requests ~invalid:!invalid
            ~admitted:!admitted ~rejected:!rejected ~hits:!hits
            ~misses:!misses ~verify_s:!verify_s ~le_100us:!le_100us
            ~le_1ms:!le_1ms ~le_10ms:!le_10ms ~gt_10ms:!gt_10ms);
       output_char oc '\n'
-    | None ->
-      match
-        input_of_json ~fallback_id:(Printf.sprintf "line%d" !lineno) line
-      with
-      | { in_id; in_req = Error msg } ->
+    | _ ->
+      match request_of_fields parsed with
+      | Error (id, msg) ->
         incr invalid;
-        output_string oc (error_to_json ~id:in_id msg);
+        let id =
+          match id with
+          | Some id -> id
+          | None -> Printf.sprintf "line%d" !lineno
+        in
+        output_string oc (error_to_json ~id msg);
         output_char oc '\n'
-      | { in_id = q_id; in_req = Ok q_req } ->
+      | Ok { q_id; q_req } ->
         let key, found =
           Bvf_util.Prof.span prof "probe" (fun () ->
               let k = Vcache.key ~config_fp ~maps_fp q_req in

@@ -52,6 +52,15 @@ val verify_request :
     the same parser every JSON line in the repository goes through.
     Field reference: docs/SERVICE.md. *)
 
+val hex_of_bytes : Bytes.t -> string
+(** Lower-case hex, two digits per byte: the ["prog"] field encoding. *)
+
+val bytes_of_hex : string -> (Bytes.t, string) result
+(** Inverse of {!hex_of_bytes}, case-insensitive; JSON whitespace
+    between digits is skipped.  Any other non-hex character is
+    ["prog is not hex"], which takes precedence over an odd digit
+    count (["prog hex has an odd digit count"]). *)
+
 val request_of_json : string -> (request, string) result
 (** Parse a request line: required ["id"], ["prog_type"], ["prog"] (hex
     of the wire-format program); optional ["attach"] (string) and

@@ -191,51 +191,74 @@ let parse_object (s : string) : (string * jvalue) list =
     do advance () done
   in
   let expect c = if peek () <> c then raise Parse else advance () in
+  (* the first quote or backslash at or after [i], else [n] *)
+  let rec scan_plain i =
+    if i < n && (match String.unsafe_get s i with
+        | '"' | '\\' -> false | _ -> true)
+    then scan_plain (i + 1)
+    else i
+  in
   let parse_string () =
     expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance (); Buffer.contents b
-      | '\\' ->
-        advance ();
-        (match peek () with
-         | '"' -> Buffer.add_char b '"'
-         | '\\' -> Buffer.add_char b '\\'
-         | '/' -> Buffer.add_char b '/'
-         | 'n' -> Buffer.add_char b '\n'
-         | 't' -> Buffer.add_char b '\t'
-         | 'r' -> Buffer.add_char b '\r'
-         | 'b' -> Buffer.add_char b '\b'
-         | 'f' -> Buffer.add_char b '\012'
-         | 'u' ->
-           if !pos + 4 >= n then raise Parse;
-           let hex = String.sub s (!pos + 1) 4 in
-           let code =
-             try int_of_string ("0x" ^ hex) with _ -> raise Parse
-           in
-           pos := !pos + 4;
-           (* schema only ever emits control chars this way *)
-           if code < 0x100 then Buffer.add_char b (Char.chr code)
-           else Buffer.add_char b '?'
-         | _ -> raise Parse);
-        advance (); go ()
-      | c -> advance (); Buffer.add_char b c; go ()
-    in
-    go ()
+    (* an escape-free string is one String.sub of the span up to its
+       closing quote; only a backslash switches to decoding character
+       by character, from the backslash on *)
+    let start = !pos in
+    pos := scan_plain start;
+    if !pos < n && s.[!pos] = '"' then begin
+      advance ();
+      String.sub s start (!pos - 1 - start)
+    end
+    else begin
+      let b = Buffer.create (!pos - start + 16) in
+      Buffer.add_substring b s start (!pos - start);
+      let rec go () =
+        match peek () with
+        | '"' -> advance (); Buffer.contents b
+        | '\\' ->
+          advance ();
+          (match peek () with
+           | '"' -> Buffer.add_char b '"'
+           | '\\' -> Buffer.add_char b '\\'
+           | '/' -> Buffer.add_char b '/'
+           | 'n' -> Buffer.add_char b '\n'
+           | 't' -> Buffer.add_char b '\t'
+           | 'r' -> Buffer.add_char b '\r'
+           | 'b' -> Buffer.add_char b '\b'
+           | 'f' -> Buffer.add_char b '\012'
+           | 'u' ->
+             if !pos + 4 >= n then raise Parse;
+             let hex = String.sub s (!pos + 1) 4 in
+             let code =
+               try int_of_string ("0x" ^ hex) with _ -> raise Parse
+             in
+             pos := !pos + 4;
+             (* schema only ever emits control chars this way *)
+             if code < 0x100 then Buffer.add_char b (Char.chr code)
+             else Buffer.add_char b '?'
+           | _ -> raise Parse);
+          advance (); go ()
+        | c -> advance (); Buffer.add_char b c; go ()
+      in
+      go ()
+    end
+  in
+  (* a bare literal, compared in place *)
+  let literal (word : string) (v : jvalue) : jvalue =
+    let k = String.length word in
+    if !pos + k > n then raise Parse;
+    for i = 0 to k - 1 do
+      if s.[!pos + i] <> word.[i] then raise Parse
+    done;
+    pos := !pos + k;
+    v
   in
   let parse_scalar () =
     match peek () with
     | '"' -> Jstr (parse_string ())
-    | 't' ->
-      if !pos + 4 <= n && String.sub s !pos 4 = "true"
-      then (pos := !pos + 4; Jbool true) else raise Parse
-    | 'f' ->
-      if !pos + 5 <= n && String.sub s !pos 5 = "false"
-      then (pos := !pos + 5; Jbool false) else raise Parse
-    | 'n' ->
-      if !pos + 4 <= n && String.sub s !pos 4 = "null"
-      then (pos := !pos + 4; Jnull) else raise Parse
+    | 't' -> literal "true" (Jbool true)
+    | 'f' -> literal "false" (Jbool false)
+    | 'n' -> literal "null" Jnull
     | '-' | '0' .. '9' ->
       let start = !pos in
       while !pos < n && (match s.[!pos] with

@@ -88,16 +88,16 @@ let pseudo_call_kfunc = 2
 type raw = { op : int; dst : int; src : int; off : int; imm : int32 }
 
 let raw_to_bytes (b : Bytes.t) (pos : int) (r : raw) : unit =
-  Bytes.set b pos (Char.chr (r.op land 0xff));
-  Bytes.set b (pos + 1) (Char.chr ((r.dst land 0xf) lor ((r.src land 0xf) lsl 4)));
-  Word.set_le b (pos + 2) 2 (Int64.of_int (r.off land 0xffff));
-  Word.set_le b (pos + 4) 4 (Int64.of_int32 r.imm)
+  Bytes.set_uint8 b pos (r.op land 0xff);
+  Bytes.set_uint8 b (pos + 1) ((r.dst land 0xf) lor ((r.src land 0xf) lsl 4));
+  Bytes.set_uint16_le b (pos + 2) (r.off land 0xffff);
+  Bytes.set_int32_le b (pos + 4) r.imm
 
 let raw_of_bytes (b : Bytes.t) (pos : int) : raw =
-  let op = Char.code (Bytes.get b pos) in
-  let regs = Char.code (Bytes.get b (pos + 1)) in
-  let off = Int64.to_int (Word.sext16 (Word.get_le b (pos + 2) 2)) in
-  let imm = Int64.to_int32 (Word.get_le b (pos + 4) 4) in
+  let op = Bytes.get_uint8 b pos in
+  let regs = Bytes.get_uint8 b (pos + 1) in
+  let off = Bytes.get_int16_le b (pos + 2) in
+  let imm = Bytes.get_int32_le b (pos + 4) in
   { op; dst = regs land 0xf; src = (regs lsr 4) land 0xf; off; imm }
 
 (* Lower one structured instruction to one or two raw slots.

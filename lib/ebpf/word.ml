@@ -77,23 +77,38 @@ let bswap64 (x : int64) : int64 =
   let combine acc byte = Int64.logor (Int64.shift_left acc 8) (Int64.of_int byte) in
   List.fold_left combine 0L [ b 0; b 1; b 2; b 3; b 4; b 5; b 6; b 7 ]
 
-(* Read/write little-endian values of [sz] bytes inside a Bytes.t. *)
+(* Read/write little-endian values of [sz] bytes inside a Bytes.t.  The
+   access widths eBPF has (1/2/4/8) go through the stdlib fixed-width
+   accessors; any other size falls back to a byte loop. *)
 let get_le (data : Bytes.t) (off : int) (sz : int) : int64 =
-  let rec build i acc =
-    if i >= sz then acc
-    else
-      build (i + 1)
-        (Int64.logor acc
-           (Int64.shift_left
-              (Int64.of_int (Char.code (Bytes.get data (off + i))))
-              (8 * i)))
-  in
-  build 0 0L
+  match sz with
+  | 1 -> Int64.of_int (Bytes.get_uint8 data off)
+  | 2 -> Int64.of_int (Bytes.get_uint16_le data off)
+  | 4 -> Int64.logand (Int64.of_int32 (Bytes.get_int32_le data off)) mask32
+  | 8 -> Bytes.get_int64_le data off
+  | _ ->
+    let rec build i acc =
+      if i >= sz then acc
+      else
+        build (i + 1)
+          (Int64.logor acc
+             (Int64.shift_left
+                (Int64.of_int (Char.code (Bytes.get data (off + i))))
+                (8 * i)))
+    in
+    build 0 0L
 
 let set_le (data : Bytes.t) (off : int) (sz : int) (v : int64) : unit =
-  for i = 0 to sz - 1 do
-    let byte =
-      Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xffL)
-    in
-    Bytes.set data (off + i) (Char.chr byte)
-  done
+  match sz with
+  | 1 -> Bytes.set_uint8 data off (Int64.to_int v land 0xff)
+  | 2 -> Bytes.set_uint16_le data off (Int64.to_int v land 0xffff)
+  | 4 -> Bytes.set_int32_le data off (Int64.to_int32 v)
+  | 8 -> Bytes.set_int64_le data off v
+  | _ ->
+    for i = 0 to sz - 1 do
+      let byte =
+        Int64.to_int
+          (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xffL)
+      in
+      Bytes.set data (off + i) (Char.chr byte)
+    done

@@ -8,7 +8,11 @@
 #      passes once the one history-dependent field ("cache":...) is
 #      stripped — the cache changes latency, never verdicts;
 #   2. the warm pass answers >= 95% of programs from the cache;
-#   3. no program comes back as a decode/parse error.
+#   3. no program comes back as a decode/parse error;
+#   4. a cold `bvf serve` over the whole corpus, fresh in-memory cache,
+#      answers byte-identically to the cold batch (cache field
+#      stripped): the serve loop parses each line once and dispatches
+#      metrics and program requests from that one parse.
 #
 # Usage: scripts/check_service.sh [outdir] [bvf-binary]
 set -u
@@ -63,6 +67,20 @@ if [ "$errors" -eq 0 ]; then
   echo "ok    no decode/parse errors"
 else
   echo "FAIL  $errors error responses in the cold pass"
+  status=1
+fi
+
+# 4. cold serve over the whole corpus == cold batch
+echo "== cold serve (whole corpus, fresh cache)"
+"$bvf" serve < "$out/corpus.jsonl" \
+  > "$out/serve-cold.jsonl" 2> "$out/serve-cold.log" || exit 3
+cat "$out/serve-cold.log"
+sed 's/,"cache":"[a-z]*"//' "$out/serve-cold.jsonl" > "$out/serve-cold.stripped"
+if cmp -s "$out/cold.stripped" "$out/serve-cold.stripped"; then
+  echo "ok    cold serve byte-identical to cold batch (cache field stripped)"
+else
+  echo "FAIL  cold serve differs from cold batch:"
+  diff "$out/cold.stripped" "$out/serve-cold.stripped" | head -20
   status=1
 fi
 
