@@ -7,13 +7,17 @@ open Vimport
 
 (* -- Static CFG validation (kernel check_cfg) -------------------------- *)
 
-let jump_targets (insns : Insn.t array) : (int, unit) Hashtbl.t =
-  let targets = Hashtbl.create 16 in
+(* [targets.(pc)]: some jump or local call lands on [pc] — the pruning
+   points, probed once per processed instruction. *)
+let jump_targets (insns : Insn.t array) : bool array =
+  let n = Array.length insns in
+  let targets = Array.make n false in
   Array.iteri
     (fun pc insn ->
        match insn with
        | Insn.Jmp { off; _ } | Insn.Ja off | Insn.Call (Insn.Local off) ->
-         Hashtbl.replace targets (pc + 1 + off) ()
+         let t = pc + 1 + off in
+         if t >= 0 && t < n then targets.(t) <- true
        | _ -> ())
     insns;
   targets
@@ -333,10 +337,10 @@ let store_or_unroll (env : Venv.t) ~(pc : int) ~(psig : int)
   else false
 
 let maybe_prune (env : Venv.t) ~(pc : int) ~(from : int)
-    (targets : (int, unit) Hashtbl.t)
+    (targets : bool array)
     (heads : (int, int option) Hashtbl.t) (th : Regstate.thresholds) :
   bool =
-  if not (Hashtbl.mem targets pc) then false
+  if not targets.(pc) then false
   else begin
     let bug3 = Venv.has_bug env Kconfig.Bug3_backtrack_precision in
     let cert_b =
@@ -506,7 +510,12 @@ let run (env : Venv.t) : unit =
   let insns = env.Venv.insns in
   let targets = jump_targets insns in
   let heads = loop_heads insns in
-  let th = harvest_thresholds insns in
+  (* only widening reads the thresholds, and only certified heads widen *)
+  let th =
+    if Hashtbl.fold (fun _ b found -> found || b <> None) heads false then
+      harvest_thresholds insns
+    else Regstate.no_thresholds
+  in
   Vstats.loop_heads_seen env.Venv.vst (Hashtbl.length heads);
   env.Venv.branch_stack <- [ (0, -1, env.Venv.st, []) ];
   Vstats.branch_pushed env.Venv.vst;

@@ -112,74 +112,97 @@ let const_value (r : t) : int64 option =
 
 (* -- Bounds bookkeeping (kernel __update_reg_bounds and friends) ------ *)
 
-(* Refresh min/max from var_off knowledge. *)
-let update_bounds (r : t) : t =
-  let tmin = Tnum.umin r.var_off and tmax = Tnum.umax r.var_off in
-  let umin = Word.umax r.umin tmin in
-  let umax = Word.umin r.umax tmax in
-  (* signed bounds from tnum only when the sign bit is known *)
-  let smin, smax =
-    if Int64.logand r.var_off.Tnum.mask Int64.min_int = 0L then
-      (* sign bit known *)
-      (Word.smax r.smin tmin, Word.smin r.smax tmax)
-    else (r.smin, r.smax)
-  in
-  { r with smin; smax; umin; umax }
+(* Unsigned order on int64 bit patterns.  Kept in this module (not
+   called from [Word]) so that [sync_round] and [reg_within] compile to
+   unboxed comparisons: the library is built without cross-module
+   inlining, and a call into another module boxes every int64. *)
+let[@inline] ult (a : int64) (b : int64) : bool =
+  Int64.logxor a Int64.min_int < Int64.logxor b Int64.min_int
 
-(* Cross-deduce signed and unsigned bounds (kernel __reg_deduce_bounds,
-   simplified to the sound core). *)
-let deduce_bounds (r : t) : t =
-  let smin, smax, umin, umax = r.smin, r.smax, r.umin, r.umax in
-  (* if the signed range does not cross the sign boundary, it constrains
-     the unsigned range, and vice versa *)
-  let smin, smax, umin, umax =
-    if smin >= 0L then
-      (smin, smax, Word.umax umin smin, Word.umin umax smax)
-    else if smax < 0L then
-      (smin, smax, Word.umax umin smin, Word.umin umax smax)
-    else (smin, smax, umin, umax)
-  in
-  (* unsigned range entirely below the sign boundary constrains signed *)
-  let smin, smax =
-    if Word.ule umax Int64.max_int then
-      (Word.smax smin umin, Word.smin smax umax)
-    else if Word.uge umin Int64.min_int then
-      (* entirely above: as signed both negative *)
-      (Word.smax smin umin, Word.smin smax umax)
-    else (smin, smax)
-  in
-  { r with smin; smax; umin; umax }
+let[@inline] ugt (a : int64) (b : int64) : bool = ult b a
 
-(* Shrink var_off using the unsigned range. *)
-let bound_offset (r : t) : t =
-  { r with
-    var_off =
-      Tnum.intersect r.var_off (Tnum.range ~min:r.umin ~max:r.umax) }
+(* One round of the kernel's bounds trio, on unboxed locals:
 
-(* One propagation round is not a fixpoint: bound_offset can shrink
-   var_off below the unsigned range (e.g. umin=1, umax=2 with
-   var_off={0;mask=5} intersects down to {0;mask=1}, whose hull tops out
-   at 1 < umax), and the tightened tnum then implies tighter ranges that
-   the single pass never re-derives.  Iterate the kernel's
-   update/deduce/bound trio until stable — the domains are finite
-   lattices and every step only tightens, so this terminates (bounded
-   anyway, defensively). *)
-let sync_round (r : t) : t = bound_offset (deduce_bounds (update_bounds r))
+   - update (__update_reg_bounds): refresh min/max from var_off; the
+     signed bounds only when var_off knows the sign bit;
+   - deduce (__reg_deduce_bounds, the sound core): a signed range that
+     does not cross the sign boundary constrains the unsigned one, and
+     an unsigned range entirely on one side of it constrains the signed
+     one;
+   - bound offset (__reg_bound_offset): intersect var_off with the
+     tightest tnum holding the unsigned range (tnum_range, whose mask
+     is the xor of the bounds smeared down from its top set bit).
+
+   Returns [r] itself when the round changes nothing, else one new
+   record that keeps [r]'s boxed values for every unchanged field (and
+   a new tnum only when var_off shrank). *)
+let sync_round (r : t) : t =
+  let value = r.var_off.Tnum.value and mask = r.var_off.Tnum.mask in
+  let tmax = Int64.logor value mask in
+  (* update *)
+  let umin1 = if ugt value r.umin then value else r.umin in
+  let umax1 = if ult tmax r.umax then tmax else r.umax in
+  let sign_known = Int64.logand mask Int64.min_int = 0L in
+  let smin1 = if sign_known && value > r.smin then value else r.smin in
+  let smax1 = if sign_known && tmax < r.smax then tmax else r.smax in
+  (* deduce *)
+  let s_one_side = smin1 >= 0L || smax1 < 0L in
+  let umin2 = if s_one_side && ugt smin1 umin1 then smin1 else umin1 in
+  let umax2 = if s_one_side && ult smax1 umax1 then smax1 else umax1 in
+  (* umax <= S64_MAX or umin >= 2^63, unsigned *)
+  let u_one_side = umax2 >= 0L || umin2 < 0L in
+  let smin2 = if u_one_side && umin2 > smin1 then umin2 else smin1 in
+  let smax2 = if u_one_side && umax2 < smax1 then umax2 else smax1 in
+  (* bound offset *)
+  let chi = Int64.logxor umin2 umax2 in
+  let chi = Int64.logor chi (Int64.shift_right_logical chi 1) in
+  let chi = Int64.logor chi (Int64.shift_right_logical chi 2) in
+  let chi = Int64.logor chi (Int64.shift_right_logical chi 4) in
+  let chi = Int64.logor chi (Int64.shift_right_logical chi 8) in
+  let chi = Int64.logor chi (Int64.shift_right_logical chi 16) in
+  let delta = Int64.logor chi (Int64.shift_right_logical chi 32) in
+  let mask2 = Int64.logand mask delta in
+  let value2 =
+    Int64.logand
+      (Int64.logor value (Int64.logand umin2 (Int64.lognot delta)))
+      (Int64.lognot mask2)
+  in
+  let same_tnum = value2 = value && mask2 = mask in
+  if
+    same_tnum && smin2 = r.smin && smax2 = r.smax && umin2 = r.umin
+    && umax2 = r.umax
+  then r
+  else
+    { r with
+      var_off =
+        (if same_tnum then r.var_off
+         else { Tnum.value = value2; mask = mask2 });
+      smin = (if smin2 = r.smin then r.smin else smin2);
+      smax = (if smax2 = r.smax then r.smax else smax2);
+      umin = (if umin2 = r.umin then r.umin else umin2);
+      umax = (if umax2 = r.umax then r.umax else umax2) }
 
 let equal_bounds (a : t) (b : t) : bool =
   a.smin = b.smin && a.smax = b.smax && a.umin = b.umin && a.umax = b.umax
   && Tnum.equal a.var_off b.var_off
 
-let sync (r : t) : t =
-  let rec fix r n =
-    let r' = sync_round r in
-    if n = 0 || equal_bounds r r' then r' else fix r' (n - 1)
-  in
-  fix r 8
+(* One round is not a fixpoint: the bound-offset step can shrink
+   var_off below the unsigned range (e.g. umin=1, umax=2 with
+   var_off={0;mask=5} intersects down to {0;mask=1}, whose hull tops out
+   at 1 < umax), and the tightened tnum then implies tighter ranges that
+   the single pass never re-derives.  Iterate until a round changes
+   nothing — the domains are finite lattices and every step only
+   tightens, so this terminates (capped at 9 rounds anyway,
+   defensively). *)
+let rec sync_from (r : t) (n : int) : t =
+  let r' = sync_round r in
+  if n = 0 || r' == r then r' else sync_from r' (n - 1)
+
+let sync (r : t) : t = sync_from r 8
 
 (* An impossible range means the verifier followed a dead branch. *)
 let is_bottom (r : t) : bool =
-  is_scalar r && (r.smin > r.smax || Word.ugt r.umin r.umax)
+  is_scalar r && (r.smin > r.smax || ugt r.umin r.umax)
 
 let scalar_of_tnum (t : Tnum.t) : t =
   sync { unknown_scalar with var_off = t; umin = Tnum.umin t;
@@ -211,15 +234,22 @@ let reg_within ~(old : t) ~(cur : t) ~(bug3 : bool) : bool =
       (* Bug#3: backtracking failed to mark kfunc results precise, so
          the buggy pruning treats them as interchangeable *)
       true
+    else if old == cur then
+      (* the bounds hold trivially; what remains of [Tnum.subset] of a
+         tnum against itself is its well-formedness *)
+      Int64.logand old.var_off.Tnum.value old.var_off.Tnum.mask = 0L
     else
       old.smin <= cur.smin && old.smax >= cur.smax
-      && Word.ule old.umin cur.umin && Word.uge old.umax cur.umax
+      && not (ugt old.umin cur.umin) && not (ult old.umax cur.umax)
       && Tnum.subset ~of_:old.var_off cur.var_off
   | Ptr op, Ptr cp ->
-    op.pk = cp.pk && old.off = cur.off
-    && Tnum.equal old.var_off cur.var_off
-    && (op.maybe_null || not cp.maybe_null)
-    && cur.range >= old.range
+    (* a stored register is usually the very record the probe holds:
+       then every conjunct below is a comparison with itself *)
+    old == cur
+    || (op.pk = cp.pk && old.off = cur.off
+        && Tnum.equal old.var_off cur.var_off
+        && (op.maybe_null || not cp.maybe_null)
+        && cur.range >= old.range)
   | Scalar, (Not_init | Ptr _)
   | Ptr _, (Not_init | Scalar) -> false
 

@@ -104,19 +104,6 @@ let describe = function
   | Env_failure -> "injected environment failure, not a verdict"
   | Unknown -> "unclassified rejection (taxonomy gap)"
 
-(* Substring search, tiny and allocation-free. *)
-let has (msg : string) (frag : string) : bool =
-  let n = String.length msg and m = String.length frag in
-  if m = 0 || m > n then m = 0
-  else begin
-    let found = ref false in
-    let i = ref 0 in
-    while (not !found) && !i <= n - m do
-      if String.sub msg !i m = frag then found := true else incr i
-    done;
-    !found
-  end
-
 (* Ordered pattern table: first match wins, so the more specific
    fragments ("uninitialized stack passed to helper") come before the
    generic ones ("stack").  Each line names the reject site family it
@@ -239,9 +226,53 @@ let patterns : (string * t) list =
     ("invalid access to", Oob_access);    (* BTF objects, by name *)
   ]
 
+(* [classify] answers "the first pattern, in table order, that occurs
+   anywhere in the message" with one allocation-free pass over the
+   message.  The fragments are indexed by their first character: bucket
+   [c] holds, in table order, the table positions of the fragments that
+   start with [c].  At each message position only that bucket is tried,
+   and only entries ahead of the best match so far. *)
+let frags = Array.of_list (List.map fst patterns)
+let reasons = Array.of_list (List.map snd patterns)
+
+let by_first_char : int array array =
+  Array.init 256 (fun c ->
+      let hits = ref [] in
+      for p = Array.length frags - 1 downto 0 do
+        let f = frags.(p) in
+        assert (f <> "");
+        if Char.code f.[0] = c then hits := p :: !hits
+      done;
+      Array.of_list !hits)
+
+(* [frag] occurs at [i] in [msg], given that its first [j] characters
+   do and that it fits. *)
+let rec matches_at msg i frag j =
+  j >= String.length frag
+  || (String.unsafe_get msg (i + j) = String.unsafe_get frag j
+      && matches_at msg i frag (j + 1))
+
+(* The earliest table position below [best] among the bucket entries
+   from [k] on that occur at [i]; [best] when there is none. *)
+let rec best_at msg i bucket k best =
+  if k >= Array.length bucket then best
+  else
+    let p = Array.unsafe_get bucket k in
+    if p >= best then best
+    else if
+      i + String.length frags.(p) <= String.length msg
+      && matches_at msg i frags.(p) 1
+    then p
+    else best_at msg i bucket (k + 1) best
+
+let rec first_match msg i best =
+  if i >= String.length msg || best = 0 then best
+  else
+    let bucket = by_first_char.(Char.code (String.unsafe_get msg i)) in
+    first_match msg (i + 1) (best_at msg i bucket 0 best)
+
 let classify ~(msg : string) : t =
   if msg = "size" then Prog_size (* Verifier.verify's shorthand *)
   else
-    match List.find_opt (fun (frag, _) -> has msg frag) patterns with
-    | Some (_, r) -> r
-    | None -> Unknown
+    let p = first_match msg 0 (Array.length frags) in
+    if p < Array.length reasons then reasons.(p) else Unknown

@@ -53,7 +53,13 @@ val of_string : string -> t option
 val describe : t -> string
 (** One-line human description for tables and [bvf explain]. *)
 
+val patterns : (string * t) list
+(** The ordered classification table: [(fragment, reason)] pairs, the
+    more specific fragments first. *)
+
 val classify : msg:string -> t
 (** Recover the reason from a canonical rejection message (the format
-    strings of the check_* modules).  Total: unmatched messages map to
-    {!Unknown}, which the telemetry CI gate treats as a taxonomy bug. *)
+    strings of the check_* modules): the reason of the first pattern,
+    in table order, that occurs anywhere in the message.  Total:
+    unmatched messages map to {!Unknown}, which the telemetry CI gate
+    treats as a taxonomy bug. *)

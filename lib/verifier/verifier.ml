@@ -48,8 +48,18 @@ let kmalloc_max = 8192
 let uses_reserved (insns : Insn.t array) : bool =
   Array.exists
     (fun i ->
-       List.exists (fun r -> r = Insn.R11) (Insn.regs_read i)
-       || List.exists (fun r -> r = Insn.R11) (Insn.regs_written i)
+       (* R11 among [Insn.regs_read i] or [Insn.regs_written i], tested
+          on the fields directly (Neg reads and writes only [dst]) *)
+       (match i with
+        | Insn.Alu { op = Insn.Neg; dst; _ } -> dst = Insn.R11
+        | Insn.Alu { dst; src; _ } | Insn.Jmp { dst; src; _ } ->
+          dst = Insn.R11
+          || (match src with Insn.Reg r -> r = Insn.R11 | Insn.Imm _ -> false)
+        | Insn.Endian { dst; _ } | Insn.Ld_imm64 (dst, _) | Insn.St { dst; _ }
+          -> dst = Insn.R11
+        | Insn.Ldx { dst; src; _ } | Insn.Stx { dst; src; _ }
+        | Insn.Atomic { dst; src; _ } -> dst = Insn.R11 || src = Insn.R11
+        | Insn.Ja _ | Insn.Call _ | Insn.Exit -> false)
        ||
        match i with
        | Insn.Call (Insn.Helper id) -> begin

@@ -7,9 +7,9 @@ open Vimport
    Representation is chosen for the analyzer's hot path: frames live in
    a fixed-capacity array indexed by frame number (the kernel's
    frame[MAX_CALL_FRAMES]), the per-byte stack classification is a
-   [Bytes.t] so copies are a memcpy and the common pruning comparison a
-   memcmp, and spilled registers sit in a dense 64-slot option array.
-   States and frames are recycled through an explicit pool (see
+   [Bytes.t] so copies are a memcpy and the pruning comparison reads it
+   a word at a time, and spilled registers sit in a dense 64-slot option
+   array.  States and frames are recycled through an explicit pool (see
    {!pool}) instead of being garbage after every branch. *)
 
 (* Stack byte classification, one char per byte.  The codes matter only
@@ -321,61 +321,75 @@ let stack_mark_written (f : frame) ~(off : int) ~(size : int) : unit =
 
 (* -- Pruning ----------------------------------------------------------- *)
 
+(* The pruning compare is the analyzer's hottest code: [states_equal]
+   runs at every pruning point against every stored state the
+   signature filter lets through, and most calls fail.  So the family
+   is plain top-level recursion (no closures), checks the spill table
+   before the stack bytes (both are pure conjuncts, so the order only
+   changes which failure is found first), and walks the stack bytes a
+   word at a time: a word equal on both sides, or one [old] never wrote
+   (all [b_invalid], i.e. 0), passes without the per-byte lattice. *)
+
+let byte_ok (o : char) (c : char) : bool =
+  if o = b_invalid then true
+  else if o = b_misc then c <> b_invalid
+  else o = c (* zero needs zero, spill needs spill *)
+
+let rec bytes_ok (os : Bytes.t) (cs : Bytes.t) (i : int) (stop : int) : bool
+  =
+  i >= stop
+  || (byte_ok (Bytes.unsafe_get os i) (Bytes.unsafe_get cs i)
+      && bytes_ok os cs (i + 1) stop)
+
+let rec words_ok (os : Bytes.t) (cs : Bytes.t) (i : int) : bool =
+  i >= stack_bytes
+  || (let o = Bytes.get_int64_ne os i in
+      (o = 0L || o = Bytes.get_int64_ne cs i || bytes_ok os cs i (i + 8))
+      && words_ok os cs (i + 8))
+
+let rec spills_ok (old : frame) (cur : frame) (bug3 : bool) (slot : int) :
+  bool =
+  slot >= spill_slots
+  || ((match old.spills.(slot) with
+      | None -> true
+      | Some old_reg -> begin
+          match cur.spills.(slot) with
+          | Some cur_reg -> Regstate.reg_within ~old:old_reg ~cur:cur_reg ~bug3
+          | None ->
+            (* old spill may have degraded to misc in cur *)
+            (match old_reg.Regstate.kind with
+             | Regstate.Scalar -> not old_reg.Regstate.precise
+             | _ -> false)
+        end)
+      && spills_ok old cur bug3 (slot + 1))
+
 let stack_within ~(old : frame) ~(cur : frame) ~(bug3 : bool) : bool =
-  let byte_ok o c =
-    if o = b_invalid then true
-    else if o = b_misc then c <> b_invalid
-    else o = c (* zero needs zero, spill needs spill *)
-  in
-  let bytes_ok =
-    (* byte-equal stacks always pass byte_ok; memcmp is the common case *)
-    Bytes.equal old.stack cur.stack
-    || (let rec go i =
-          i >= stack_bytes
-          || (byte_ok (Bytes.unsafe_get old.stack i)
-                (Bytes.unsafe_get cur.stack i)
-              && go (i + 1))
-        in
-        go 0)
-  in
-  let rec spills_ok slot =
-    slot >= spill_slots
-    || ((match old.spills.(slot) with
-         | None -> true
-         | Some old_reg -> begin
-             match cur.spills.(slot) with
-             | Some cur_reg ->
-               Regstate.reg_within ~old:old_reg ~cur:cur_reg ~bug3
-             | None ->
-               (* old spill may have degraded to misc in cur *)
-               (match old_reg.Regstate.kind with
-                | Regstate.Scalar -> not old_reg.Regstate.precise
-                | _ -> false)
-           end)
-        && spills_ok (slot + 1))
-  in
-  bytes_ok && spills_ok 0
+  spills_ok old cur bug3 0 && words_ok old.stack cur.stack 0
+
+let rec regs_within (old : Regstate.t array) (cur : Regstate.t array)
+    (bug3 : bool) (i : int) : bool =
+  i > 10
+  || (Regstate.reg_within ~old:old.(i) ~cur:cur.(i) ~bug3
+      && regs_within old cur bug3 (i + 1))
 
 let frame_within ~(old : frame) ~(cur : frame) ~(bug3 : bool) : bool =
   old.callsite = cur.callsite
-  && (let rec regs i =
-        i > 10
-        || (Regstate.reg_within ~old:old.regs.(i) ~cur:cur.regs.(i) ~bug3
-            && regs (i + 1))
-      in
-      regs 0)
+  && regs_within old.regs cur.regs bug3 0
   && stack_within ~old ~cur ~bug3
+
+let rec frames_within (old : t) (cur : t) (bug3 : bool) (i : int) : bool =
+  i >= old.nframes
+  || (frame_within ~old:old.frames.(i) ~cur:cur.frames.(i) ~bug3
+      && frames_within old cur bug3 (i + 1))
 
 let states_equal ~(old : t) ~(cur : t) ~(bug3 : bool) : bool =
   old.nframes = cur.nframes
-  && old.active_lock = cur.active_lock
-  && List.length old.refs = List.length cur.refs
-  && (let rec go i =
-        i >= old.nframes
-        || (frame_within ~old:old.frames.(i) ~cur:cur.frames.(i) ~bug3
-            && go (i + 1))
-      in
-      go 0)
+  && (match old.active_lock, cur.active_lock with
+      | None, None -> true
+      | Some a, Some b -> a = b
+      | None, Some _ | Some _, None -> false)
+  && List.compare_lengths old.refs cur.refs = 0
+  && frames_within old cur bug3 0
 
 (* -- Pruning signatures ------------------------------------------------ *)
 

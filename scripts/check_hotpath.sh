@@ -9,6 +9,13 @@
 # change that silently alters generated programs is a behavior change,
 # not an optimisation.
 #
+# Allocation is gated exactly: a row fails when its
+# minor_words_per_prog exceeds the baseline's by more than 1%.  Unlike
+# the timings these counts repeat run to run (to the printed 0.1
+# word), so the 1% is headroom for OCaml runtime differences, not for
+# noise.  A change that allocates more on purpose refreshes the
+# baseline in the same commit.
+#
 # Usage: scripts/check_hotpath.sh [new.json] [baseline.json] [max-drop-%]
 set -u
 
@@ -23,6 +30,7 @@ python3 - "$new" "$baseline" "$max_drop" <<'EOF'
 import json, sys
 
 new_path, base_path, max_drop = sys.argv[1], sys.argv[2], float(sys.argv[3])
+max_words_growth = 1.0  # percent
 new = json.load(open(new_path))
 base = json.load(open(base_path))
 
@@ -46,6 +54,13 @@ for row in new["rows"]:
     print(f"{verdict:4}  {name}: {got:.0f} programs/sec vs baseline "
           f"{want:.0f} ({-drop:+.1f}%)")
     if drop > max_drop:
+        status = 1
+    got_w, want_w = row["minor_words_per_prog"], ref["minor_words_per_prog"]
+    grew = 100.0 * (got_w - want_w) / want_w if want_w > 0 else 0.0
+    verdict = "FAIL" if grew > max_words_growth else "ok"
+    print(f"{verdict:4}  {name}: {got_w:.1f} minor words/program vs baseline "
+          f"{want_w:.1f} ({grew:+.1f}%)")
+    if grew > max_words_growth:
         status = 1
 
 missing = set(base_rows) - {r["name"] for r in new["rows"]}

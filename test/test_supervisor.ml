@@ -299,49 +299,79 @@ let test_state_dir_lock () =
 
 (* -- Interruption and state-directory resume ---------------------------- *)
 
-(* Stop the supervisor once worker 0 has taken its first barrier
-   checkpoint; every worker saves and exits.  Rerunning with the same
-   state directory resumes each worker from its checkpoint, and the
-   final digest equals an undisturbed supervised run's. *)
+(* Stop every worker at the same non-barrier local iteration.  Each
+   worker's fault hook, just before local iteration [stop_local], drops
+   a marker file and waits; once every marker exists the supervisor's
+   [stop] fires and SIGTERMs the workers.  The hook chains the worker's
+   own SIGTERM handler and returns only after the signal arrived, so
+   the worker runs that one iteration and takes its save-on-stop
+   checkpoint right after it, whatever the timing.  Rerunning with the
+   same state directory resumes each worker from its checkpoint, and
+   the final digest equals an undisturbed supervised run's. *)
 let test_interrupt_then_resume () =
   let dir = temp_dir "bvf_sv_intr" in
   let state = Filename.concat dir "state" in
+  let workers = 2 and checkpoint_every = 50 and stop_local = 75 in
+  let marker w = Filename.concat dir (Printf.sprintf "at-stop-%d" w) in
+  let fault ~worker ~local ~global:_ =
+    if local = stop_local then begin
+      let signalled = ref false and prev = ref Sys.Signal_default in
+      prev :=
+        Sys.signal Sys.sigterm
+          (Sys.Signal_handle
+             (fun n ->
+                signalled := true;
+                match !prev with
+                | Sys.Signal_handle h -> h n
+                | Sys.Signal_default | Sys.Signal_ignore -> ()));
+      close_out (open_out (marker worker));
+      (* bounded: the supervisor's hang watchdog stays the backstop *)
+      let waited = ref 0 in
+      while (not !signalled) && !waited < 2000 do
+        Unix.sleepf 0.01;
+        incr waited
+      done
+    end
+  in
   let stop () =
-    Sys.file_exists (Filename.concat state "worker-0.ckpt")
+    List.for_all (fun w -> Sys.file_exists (marker w))
+      (List.init workers Fun.id)
   in
   (match
-     sv ~checkpoint_every:50 ~stop ~dir:state ~seed:14 ~iterations:2000
-       ~workers:2 ()
+     sv ~checkpoint_every ~fault ~stop ~dir:state ~seed:14
+       ~iterations:2000 ~workers ()
    with
    | Supervisor.Interrupted report ->
      List.iter
        (fun (w : Supervisor.worker_report) ->
           Alcotest.(check bool) "worker interrupted" true
-            (w.wr_outcome = Supervisor.Outcome_interrupted))
+            (w.wr_outcome = Supervisor.Outcome_interrupted);
+          Alcotest.(check int) "saved right after the stop iteration"
+            (stop_local + 1) w.wr_completed)
        report.rp_workers
    | Supervisor.Completed _ ->
      Alcotest.fail "run completed before the stop fired");
   let resumed, report =
     completed
-      (sv ~checkpoint_every:50 ~dir:state ~seed:14 ~iterations:2000
-         ~workers:2 ())
+      (sv ~checkpoint_every ~dir:state ~seed:14 ~iterations:2000 ~workers
+         ())
   in
   Alcotest.(check int) "no crashes across interrupt/resume" 0
     (List.length report.rp_crashes);
   let reference, _ =
     completed
-      (sv ~checkpoint_every:50 ~dir:(Filename.concat dir "ref") ~seed:14
-         ~iterations:2000 ~workers:2 ())
+      (sv ~checkpoint_every ~dir:(Filename.concat dir "ref") ~seed:14
+         ~iterations:2000 ~workers ())
   in
-  (* the SIGTERM lands between barriers, so each resumed worker carries
-     exactly one extra reboot (the save-on-stop barrier) — the same
-     semantics as the sequential stop/resume test.  st_reboots is part
-     of the digest; normalize that one documented delta and everything
-     else must be identical. *)
+  (* every worker stopped between barriers, so each resumed worker
+     carries exactly one extra reboot (the save-on-stop barrier) — the
+     same semantics as the sequential stop/resume test.  st_reboots is
+     part of the digest; normalize that one documented delta and
+     everything else must be identical. *)
   let rs = resumed.Parallel.pr_stats
   and fs = reference.Parallel.pr_stats in
   Alcotest.(check int) "one extra reboot per interrupted worker"
-    (fs.Campaign.st_reboots + 2) rs.Campaign.st_reboots;
+    (fs.Campaign.st_reboots + workers) rs.Campaign.st_reboots;
   rs.Campaign.st_reboots <- fs.Campaign.st_reboots;
   Alcotest.(check string) "resumed digest equals undisturbed (mod reboots)"
     (Campaign.digest fs) (Campaign.digest rs)

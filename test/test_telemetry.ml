@@ -206,6 +206,78 @@ let test_jsonl_round_trip () =
         ^ {|"verify_s":1.000000,"sanitize_s":0.250000,|}
         ^ {|"exec_s":0.125000,"wall_s":2.000000}|}))
 
+(* -- adversarial decode ---------------------------------------------------- *)
+
+(* One event of every kind: [sample_events] plus the ones it lacks. *)
+let every_kind : Telemetry.event list =
+  sample_events
+  @ [ Quarantined { iter = 6 };
+      Service_hit { seq = 7; key = "k7" };
+      Service_miss { seq = 8; key = "k8" };
+      Service_admitted { seq = 8; key = "k8"; insns = 9; insn_processed = 30 };
+      Service_rejected
+        { seq = 9; key = "k9"; reason = Reject_reason.Null_deref } ]
+
+(* A [to_json] line damaged by replaced, deleted or inserted characters
+   (JSON punctuation, escape starts, number and literal fragments, raw
+   control and high bytes) and possibly truncated. *)
+let gen_damaged_line : string QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let lines = Array.of_list (List.map Telemetry.to_json every_kind) in
+  let token =
+    oneofl
+      [ "\""; "\\"; "{"; "}"; ":"; ","; "0"; "-"; "e"; "."; "1e999"; "nan";
+        "\\u"; "\\u00"; "\\uZZZZ"; "true"; "nul"; " "; "\000"; "\255";
+        "\n"; "[" ]
+  in
+  let edit =
+    let* at = int_bound 400 and* kind = int_bound 3 and* tok = token in
+    return (at, kind, tok)
+  in
+  let apply line (at, kind, tok) =
+    let n = String.length line in
+    let i = if n = 0 then 0 else at mod (n + 1) in
+    match kind with
+    | 0 when i < n ->
+      String.sub line 0 i ^ tok ^ String.sub line (i + 1) (n - i - 1)
+    | 1 when i < n -> String.sub line 0 i ^ String.sub line (i + 1) (n - i - 1)
+    | 2 -> String.sub line 0 i ^ tok ^ String.sub line i (n - i)
+    | _ -> String.sub line 0 i
+  in
+  let* line = oneofa lines in
+  let* edits = list_size (int_range 1 4) edit in
+  return (List.fold_left apply line edits)
+
+let of_json_never_raises =
+  QCheck2.Test.make ~count:5000 ~name:"of_json never raises on damaged lines"
+    ~print:(Printf.sprintf "%S") gen_damaged_line
+    (fun line ->
+       match Telemetry.of_json line with
+       | None | Some _ -> true
+       | exception e ->
+         QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+let read_file_never_raises =
+  QCheck2.Test.make ~count:200 ~name:"read_file never raises on damaged traces"
+    QCheck2.Gen.(list_size (int_range 0 12) gen_damaged_line)
+    (fun damaged ->
+       let intact = List.map Telemetry.to_json every_kind in
+       let path = Filename.temp_file "bvf_damaged" ".jsonl" in
+       Out_channel.with_open_bin path (fun oc ->
+           (* no trailing newline: the last line may end mid-record *)
+           output_string oc (String.concat "\n" (intact @ damaged)));
+       let result =
+         match Telemetry.read_file path with
+         | events ->
+           (* the intact prefix still decodes, event for event *)
+           List.filteri (fun i _ -> i < List.length every_kind) events
+           = every_kind
+         | exception e ->
+           QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e)
+       in
+       Sys.remove path;
+       result)
+
 let test_summarize_counts () =
   let s = Telemetry.summarize sample_events in
   Alcotest.(check int) "events" (List.length sample_events)
@@ -389,6 +461,8 @@ let () =
             test_summarize_counts;
           Alcotest.test_case "trace matches campaign stats" `Quick
             test_trace_matches_stats;
+          QCheck_alcotest.to_alcotest of_json_never_raises;
+          QCheck_alcotest.to_alcotest read_file_never_raises;
         ] );
       ( "sharding",
         [
