@@ -328,164 +328,140 @@ let fuzz_cmd =
          Printf.sprintf " across %d supervised workers" workers
        else if jobs > 1 then Printf.sprintf " across %d domains" jobs
        else "");
+    (* supervised workers run in other processes: no status line *)
     let progress =
-      Option.map
-        (fun every_s -> Progress.create ~every_s ~jobs ())
-        progress_every
+      if workers > 0 then None
+      else
+        Option.map
+          (fun every_s -> Progress.create ~every_s ~jobs ())
+          progress_every
     in
     let prof =
       match profile with Some _ -> Prof.session () | None -> Prof.null
     in
-    if workers > 0 then begin
-      arm_signals ();
-      let quarantine =
-        match quarantine_file with
-        | None -> []
-        | Some f ->
-          if not (Sys.file_exists f) then begin
-            Printf.eprintf "bvf fuzz: --quarantine %s: no such file\n" f;
-            exit 2
-          end;
-          Supervisor.quarantine_of_file f
-      in
-      let t0 = Mclock.now_s () in
-      let outcome =
-        try
-          Supervisor.run ~log_level ?trace
-            ?failslab_rate:
-              (if failslab_rate > 0.0 then Some failslab_rate else None)
-            ?failslab_seed ~checkpoint_every ~deadline_s:deadline
-            ~max_restarts ~quarantine ~prof ~stop:stopped ~workers ~seed
-            ~iterations ~dir:state_dir strategy config
-        with Campaign.Environment msg ->
-          Printf.eprintf "bvf fuzz: aborted on environment error: %s\n" msg;
-          exit 3
-      in
-      match outcome with
-      | Supervisor.Interrupted report ->
-        Printf.printf
-          "interrupted: workers checkpointed under %s; rerun with the \
-           same --state-dir to resume\n"
-          state_dir;
-        Format.printf "%a" Supervisor.pp_report report;
-        exit (if !stop_sig <> 0 then !stop_sig else 130)
-      | Supervisor.Completed (result, report) ->
-        (match trace with
-         | Some path ->
-           append_profile path result.Parallel.pr_stats
-             ~wall_s:(Mclock.elapsed_s ~since:t0)
-         | None -> ());
-        write_profile prof profile;
-        Format.printf "%a" Parallel.pp_summary result;
-        Format.printf "%a" Supervisor.pp_report report;
-        Printf.printf "merged digest: %s\n" (Parallel.digest result);
-        print_findings result.Parallel.pr_stats
-    end
-    else if jobs > 1 then begin
-      let t0 = Mclock.now_s () in
-      let result =
-        try
-          Parallel.run ~jobs ?trace ~log_level
-            ?failslab_rate:
-              (if failslab_rate > 0.0 then Some failslab_rate else None)
-            ?failslab_seed
+    let failslab_rate =
+      if failslab_rate > 0.0 then Some failslab_rate else None
+    in
+    let t0 = Mclock.now_s () in
+    (* the closing sequence every executor shares; [summary] prints what
+       is the executor's own *)
+    let finish ?(merged = false) ~summary (stats : Campaign.stats) =
+      Option.iter Progress.finish progress;
+      Option.iter
+        (fun path ->
+           append_profile path stats ~wall_s:(Mclock.elapsed_s ~since:t0))
+        trace;
+      write_profile prof profile;
+      summary ();
+      if merged then
+        Printf.printf "merged digest: %s\n" (Campaign.digest stats);
+      print_findings stats
+    in
+    try
+      if workers > 0 then begin
+        arm_signals ();
+        let quarantine =
+          match quarantine_file with
+          | None -> []
+          | Some f ->
+            if not (Sys.file_exists f) then begin
+              Printf.eprintf "bvf fuzz: --quarantine %s: no such file\n" f;
+              exit 2
+            end;
+            Supervisor.quarantine_of_file f
+        in
+        match
+          Supervisor.run ~log_level ?trace ?failslab_rate ?failslab_seed
+            ~checkpoint_every ~deadline_s:deadline ~max_restarts
+            ~quarantine ~prof ~stop:stopped ~workers ~seed ~iterations
+            ~dir:state_dir strategy config
+        with
+        | Supervisor.Interrupted report ->
+          Printf.printf
+            "interrupted: workers checkpointed under %s; rerun with the \
+             same --state-dir to resume\n"
+            state_dir;
+          Format.printf "%a" Supervisor.pp_report report;
+          exit (if !stop_sig <> 0 then !stop_sig else 130)
+        | Supervisor.Completed (result, report) ->
+          finish ~merged:true result.Parallel.pr_stats ~summary:(fun () ->
+              Format.printf "%a%a" Parallel.pp_summary result
+                Supervisor.pp_report report)
+      end
+      else if jobs > 1 then begin
+        let result =
+          Parallel.run ~jobs ?trace ~log_level ?failslab_rate ?failslab_seed
             ?on_step:(Option.map Progress.observer progress)
             ~prof ~seed ~iterations strategy config
-        with Campaign.Environment msg ->
-          Printf.eprintf "bvf fuzz: aborted on environment error: %s\n" msg;
-          exit 3
-      in
-      Option.iter Progress.finish progress;
-      (match trace with
-       | Some path ->
-         append_profile path result.Parallel.pr_stats
-           ~wall_s:(Mclock.elapsed_s ~since:t0)
-       | None -> ());
-      write_profile prof profile;
-      Format.printf "%a" Parallel.pp_summary result;
-      Printf.printf "merged digest: %s\n" (Parallel.digest result);
-      print_findings result.Parallel.pr_stats
-    end
-    else begin
-      arm_signals ();
-      let resume_from =
-        match resume_path with
-        | None -> None
-        | Some path ->
-          (match Campaign.load_checkpoint ~path with
-           | Ok s ->
-             Printf.printf "resuming from %s: %d iterations completed\n"
-               path s.Campaign.sn_completed;
-             Some s
-           | Error e ->
-             Printf.eprintf "bvf fuzz: cannot resume from %s: %s\n" path
-               (Checkpoint.error_to_string e);
-             exit (checkpoint_exit_code e))
-      in
-      let failslab =
-        (* on resume the restored plan (with its stream position) wins *)
-        match resume_from with
-        | Some _ -> None
-        | None when failslab_rate > 0.0 ->
-          Some
-            (Failslab.create ~rate:failslab_rate
-               ~seed:(Option.value failslab_seed ~default:seed) ())
-        | None -> None
-      in
-      let telemetry =
-        match trace with
-        | Some path -> Telemetry.create path
-        | None -> Telemetry.null
-      in
-      let t0 = Mclock.now_s () in
-      (* same track layout as a --jobs 1 Parallel.run: the campaign is
-         shard 0, its phases nested in one top-level "iterate" span *)
-      let cprof = Prof.track prof ~name:"shard0" 0 in
-      let stats =
-        try
-          Prof.span cprof "iterate" @@ fun () ->
-          Campaign.run
-            ~telemetry ~log_level ~prof:cprof
-            ~checkpoint_every
-            ?checkpoint_path
-            ?failslab
-            ?resume_from
-            ~stop:stopped
-            ?on_step:
-              (Option.map
-                 (fun p c -> Progress.update p ~shard:0 c)
-                 progress)
-            ~seed ~iterations strategy config
-        with Campaign.Environment msg ->
-          Telemetry.close telemetry;
-          Printf.eprintf "bvf fuzz: aborted on environment error: %s\n" msg;
-          exit 3
-      in
-      Telemetry.close telemetry;
-      Option.iter Progress.finish progress;
-      (match trace with
-       | Some path ->
-         append_profile path stats ~wall_s:(Mclock.elapsed_s ~since:t0)
-       | None -> ());
-      write_profile prof profile;
-      Format.printf "%a" Campaign.pp_summary stats;
-      (match failslab with
-       | Some plan when Failslab.enabled plan ->
-         Format.printf "%a" Failslab.pp_summary plan
-       | Some _ | None -> ());
-      print_findings stats;
-      if !stop_sig <> 0 then begin
-        (match checkpoint_path with
-         | Some path ->
-           Printf.printf
-             "interrupted at iteration %d: checkpoint saved to %s\n"
-             stats.Campaign.st_generated path
-         | None ->
-           Printf.printf "interrupted at iteration %d\n"
-             stats.Campaign.st_generated);
-        exit !stop_sig
+        in
+        finish ~merged:true result.Parallel.pr_stats ~summary:(fun () ->
+            Format.printf "%a" Parallel.pp_summary result)
       end
-    end
+      else begin
+        arm_signals ();
+        let resume_from =
+          Option.map
+            (fun path ->
+               match Campaign.load_checkpoint ~path with
+               | Ok s ->
+                 Printf.printf "resuming from %s: %d iterations completed\n"
+                   path s.Campaign.sn_completed;
+                 s
+               | Error e ->
+                 Printf.eprintf "bvf fuzz: cannot resume from %s: %s\n" path
+                   (Checkpoint.error_to_string e);
+                 exit (checkpoint_exit_code e))
+            resume_path
+        in
+        (* on resume the restored plan (with its stream position) wins;
+           otherwise the campaign is shard 0 of one *)
+        let failslab =
+          match resume_from with
+          | Some _ -> None
+          | None ->
+            Parallel.shard_failslab ?failslab_rate ?failslab_seed ~seed 0
+        in
+        let telemetry =
+          match trace with
+          | Some path -> Telemetry.create path
+          | None -> Telemetry.null
+        in
+        (* same track layout as a --jobs 1 Parallel.run: the campaign is
+           shard 0, its phases nested in one top-level "iterate" span *)
+        let cprof = Prof.track prof ~name:"shard0" 0 in
+        let stats =
+          Fun.protect ~finally:(fun () -> Telemetry.close telemetry)
+          @@ fun () ->
+          Prof.span cprof "iterate" @@ fun () ->
+          Campaign.run ~telemetry ~log_level ~prof:cprof ~checkpoint_every
+            ?save:
+              (Option.map
+                 (fun path -> Campaign.save_snapshot ~path)
+                 checkpoint_path)
+            ?failslab ?resume_from ~stop:stopped
+            ?on_step:
+              (Option.map (fun p c -> Progress.update p ~shard:0 c) progress)
+            ~seed ~iterations strategy config
+        in
+        finish stats ~summary:(fun () ->
+            Format.printf "%a" Campaign.pp_summary stats;
+            Option.iter
+              (fun plan ->
+                 if Failslab.enabled plan then
+                   Format.printf "%a" Failslab.pp_summary plan)
+              failslab);
+        if !stop_sig <> 0 then begin
+          Printf.printf "interrupted at iteration %d%s\n"
+            stats.Campaign.st_generated
+            (match checkpoint_path with
+             | Some path -> ": checkpoint saved to " ^ path
+             | None -> "");
+          exit !stop_sig
+        end
+      end
+    with Campaign.Environment msg ->
+      Printf.eprintf "bvf fuzz: aborted on environment error: %s\n" msg;
+      exit 3
   in
   Cmd.v (Cmd.info "fuzz" ~doc:"Run a fuzzing campaign.")
     Term.(const run $ version_t $ seed_t $ iterations_t $ tool_t

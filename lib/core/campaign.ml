@@ -511,12 +511,8 @@ let snapshot (c : t) : snapshot =
     sn_stats = c.stats;
   }
 
-let save_checkpoint (c : t) ~(path : string) :
-  (unit, Checkpoint.error) result =
-  Checkpoint.save ~path ~tag:checkpoint_tag (snapshot c)
-
-(* Persist a snapshot value directly — the [bvf merge] output path,
-   where there is no live campaign behind the snapshot. *)
+(* [run_t]'s barrier saver for [--checkpoint], and the [bvf merge]
+   output path, where there is no live campaign behind the snapshot. *)
 let save_snapshot (s : snapshot) ~(path : string) :
   (unit, Checkpoint.error) result =
   Checkpoint.save ~path ~tag:checkpoint_tag s
@@ -589,9 +585,9 @@ let resume ?(sample_every = 64) ?(telemetry = Telemetry.null)
 (* -- Driving ----------------------------------------------------------- *)
 
 let run_t ?(sample_every = 64) ?telemetry ?log_level ?prof
-    ?checkpoint_every ?checkpoint_path ?failslab ?resume_from ?skip
-    ?stop ?on_step ~(seed : int) ~(iterations : int)
-    (strategy : strategy) (config : Kconfig.t) : t =
+    ?checkpoint_every ?save ?failslab ?resume_from ?skip ?stop ?on_step
+    ~(seed : int) ~(iterations : int) (strategy : strategy)
+    (config : Kconfig.t) : t =
   let c =
     match resume_from with
     | Some s ->
@@ -609,16 +605,19 @@ let run_t ?(sample_every = 64) ?telemetry ?log_level ?prof
     | Some n when n > 0 -> c.stats.st_generated mod n = 0
     | Some _ | None -> false
   in
+  (* the Checkpoint event goes out before the snapshot is written, so a
+     saver that records the trace position (a supervised worker) resumes
+     just after the event and an undisturbed run writes the same bytes *)
   let save_now () =
-    match checkpoint_path with
-    | Some path -> begin
+    match save with
+    | Some save -> begin
+        Telemetry.emit c.telemetry
+          (Telemetry.Checkpoint { iter = c.stats.st_generated });
         match
           Bvf_util.Prof.span c.prof "checkpoint" (fun () ->
-              save_checkpoint c ~path)
+              save (snapshot c))
         with
-        | Ok () ->
-          Telemetry.emit c.telemetry
-            (Telemetry.Checkpoint { iter = c.stats.st_generated })
+        | Ok () -> ()
         | Error e ->
           raise
             (Environment
@@ -669,13 +668,12 @@ let run_t ?(sample_every = 64) ?telemetry ?log_level ?prof
       c.stats.st_curve;
   c
 
-let run ?sample_every ?telemetry ?log_level ?prof ?checkpoint_every
-    ?checkpoint_path ?failslab ?resume_from ?skip ?stop ?on_step
-    ~(seed : int) ~(iterations : int) (strategy : strategy)
-    (config : Kconfig.t) : stats =
-  (run_t ?sample_every ?telemetry ?log_level ?prof ?checkpoint_every
-     ?checkpoint_path ?failslab ?resume_from ?skip ?stop ?on_step ~seed
-     ~iterations strategy config)
+let run ?sample_every ?telemetry ?log_level ?prof ?checkpoint_every ?save
+    ?failslab ?resume_from ?skip ?stop ?on_step ~(seed : int)
+    ~(iterations : int) (strategy : strategy) (config : Kconfig.t) : stats =
+  (run_t ?sample_every ?telemetry ?log_level ?prof ?checkpoint_every ?save
+     ?failslab ?resume_from ?skip ?stop ?on_step ~seed ~iterations strategy
+     config)
     .stats
 
 let pp_summary fmt (s : stats) : unit =

@@ -196,10 +196,9 @@ type snapshot = {
 
 val snapshot : t -> snapshot
 
-val save_checkpoint : t -> path:string -> (unit, Checkpoint.error) result
-
 val save_snapshot : snapshot -> path:string -> (unit, Checkpoint.error) result
-(** Persist a snapshot value that has no live campaign behind it — the
+(** Persist a snapshot as a campaign checkpoint: {!run}'s barrier saver
+    for [--checkpoint] ([~save:(save_snapshot ~path)]), and the
     [bvf merge] output path. *)
 
 val load_checkpoint : path:string -> (snapshot, Checkpoint.error) result
@@ -219,7 +218,8 @@ val resume :
 val run_t :
   ?sample_every:int -> ?telemetry:Telemetry.sink -> ?log_level:int ->
   ?prof:Bvf_util.Prof.t ->
-  ?checkpoint_every:int -> ?checkpoint_path:string ->
+  ?checkpoint_every:int ->
+  ?save:(snapshot -> (unit, Checkpoint.error) result) ->
   ?failslab:Bvf_kernel.Failslab.t -> ?resume_from:snapshot ->
   ?skip:(int -> bool) -> ?stop:(unit -> bool) ->
   ?on_step:(t -> unit) -> seed:int ->
@@ -231,26 +231,31 @@ val run_t :
 val run :
   ?sample_every:int -> ?telemetry:Telemetry.sink -> ?log_level:int ->
   ?prof:Bvf_util.Prof.t ->
-  ?checkpoint_every:int -> ?checkpoint_path:string ->
+  ?checkpoint_every:int ->
+  ?save:(snapshot -> (unit, Checkpoint.error) result) ->
   ?failslab:Bvf_kernel.Failslab.t -> ?resume_from:snapshot ->
   ?skip:(int -> bool) -> ?stop:(unit -> bool) ->
   ?on_step:(t -> unit) -> seed:int ->
   iterations:int -> strategy -> Bvf_kernel.Kconfig.t -> stats
-(** Drive [iterations] steps.  Every [checkpoint_every] completed
-    iterations (absolute count, so resumed runs hit the same barriers)
-    the campaign writes a checkpoint to [checkpoint_path] (if given) and
-    reboots the kernel — the barrier that makes resume deterministic.
-    The closing coverage sample is deduplicated by iteration, so
-    finalizing a campaign twice (or on a sample boundary) never records
-    the same iteration twice.  [skip] selects iterations to pass to
-    {!step_skip} instead of {!step} (the harness-crash quarantine).
-    [stop] is polled after every completed iteration; when it returns
-    true the campaign writes a final checkpoint, reboots (the exact
-    barrier sequence, run once even when the stop lands on a scheduled
-    barrier) and returns early — the SIGINT/SIGTERM path.  [on_step]
-    (the [--progress] observer) is called after each completed
-    iteration, outside the deterministic core: it must not mutate the
-    campaign.
-    @raise Environment on checkpoint write failure. *)
+(** Drive [iterations] further steps (a resumed campaign counts from its
+    snapshot).  Every [checkpoint_every] completed iterations (absolute
+    count, so resumed runs hit the same barriers) the campaign emits a
+    {!Telemetry.event.Checkpoint} event, hands {!snapshot} to [save]
+    (if given; the CLI passes [save_snapshot ~path], a supervised
+    worker its own writer) and reboots the kernel — the barrier that
+    makes resume deterministic.  The closing coverage sample is deduplicated by
+    iteration, so finalizing a campaign twice (or on a sample boundary)
+    never records the same iteration twice.  [skip] is the pre-step
+    hook: it is called with the iteration number before each iteration,
+    may act (a supervised worker writes its heartbeat and runs its test
+    fault hook there), and selects iterations to pass to {!step_skip}
+    instead of {!step} (the harness-crash quarantine).  [stop] is
+    polled after every completed iteration; when it returns true the
+    campaign runs the barrier sequence once (even when the stop lands
+    on a scheduled barrier) and returns early — the SIGINT/SIGTERM
+    path.  [on_step] (the [--progress] observer) is called after each
+    completed iteration, outside the deterministic core: it must not
+    mutate the campaign.
+    @raise Environment when [save] fails. *)
 
 val pp_summary : Format.formatter -> stats -> unit

@@ -9,12 +9,16 @@
    The [tag] names the payload schema (e.g. "campaign/1") so a reader
    never unmarshals bytes written by a different producer or an older
    schema; the digest catches truncation and corruption from a crash
-   mid-write.  Writes are atomic: the file is assembled at
-   [path ^ ".tmp"], fsynced, then renamed over [path], so a campaign
-   killed at any instant leaves either the previous checkpoint or the
-   new one — never a torn file.  This is the standard
-   write-leader-then-rename durability pattern of corpus databases in
-   long-lived fuzzers (syzkaller's corpus.db, AFL's queue). *)
+   mid-write.  Writes are atomic against a killed process: the file is
+   assembled at [path ^ ".tmp"], flushed and closed, then renamed over
+   [path], so a campaign killed at any instant leaves either the
+   previous checkpoint or the new one — never a torn file.  Nothing is
+   fsynced, so the write is not durable against power loss or a kernel
+   crash: the rename may reach the disk before the data.  That is the
+   write-then-rename pattern of corpus databases in long-lived fuzzers
+   (syzkaller's corpus.db, AFL's queue); the same {!atomic_write}
+   primitive also publishes the supervisor's per-iteration heartbeats,
+   where an fsync per write would cost more than the iteration. *)
 
 let magic = "BVF-CHECKPOINT"
 let format_version = 1
@@ -40,31 +44,33 @@ let valid_tag (tag : string) : bool =
 
 (* -- Writing ----------------------------------------------------------- *)
 
+(* The one write-then-rename in the tree: readers only ever observe
+   complete files.  A failure removes the temporary and re-raises. *)
+let atomic_write (path : string) (contents : string) : unit =
+  let tmp = path ^ ".tmp" in
+  try
+    (* flush inside: the closing close_out_noerr would swallow a
+       short write *)
+    Out_channel.with_open_bin tmp (fun oc ->
+        Out_channel.output_string oc contents;
+        Out_channel.flush oc);
+    Sys.rename tmp path
+  with Sys_error _ as e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
 let save ~(path : string) ~(tag : string) (value : 'a) :
   (unit, error) result =
   if not (valid_tag tag) then
     invalid_arg "Checkpoint.save: tag must be non-empty and spaceless";
   let payload = Marshal.to_string value [] in
-  let header =
-    Printf.sprintf "%s %d %s\n%s\n" magic format_version tag
-      (Digest.to_hex (Digest.string payload))
-  in
-  let tmp = path ^ ".tmp" in
   match
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-         output_string oc header;
-         output_string oc payload;
-         flush oc);
-    (* write-then-rename: readers only ever observe complete files *)
-    Sys.rename tmp path
+    atomic_write path
+      (Printf.sprintf "%s %d %s\n%s\n%s" magic format_version tag
+         (Digest.to_hex (Digest.string payload)) payload)
   with
   | () -> Ok ()
-  | exception Sys_error msg ->
-    (if Sys.file_exists tmp then try Sys.remove tmp with Sys_error _ -> ());
-    Error (Io msg)
+  | exception Sys_error msg -> Error (Io msg)
 
 (* -- Reading ----------------------------------------------------------- *)
 

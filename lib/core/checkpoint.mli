@@ -4,7 +4,9 @@
     naming the payload schema ([tag]), an MD5 integrity digest, and a
     marshalled payload.  Writes are atomic (write to [path ^ ".tmp"],
     then rename), so a process killed at any instant leaves either the
-    previous checkpoint or the new one — never a torn file.
+    previous checkpoint or the new one — never a torn file.  They are
+    not fsynced: atomic against a killed process, not durable against
+    power loss.
 
     The payload type is the caller's contract: a value saved under a
     [tag] must always be loaded at the same type under the same [tag].
@@ -19,6 +21,12 @@ type error =
   | Corrupt of string          (** digest mismatch, truncation, ... *)
 
 val error_to_string : error -> string
+
+val atomic_write : string -> string -> unit
+(** [atomic_write path contents] writes [contents] to [path ^ ".tmp"]
+    and renames it over [path].  The tree's one write-then-rename:
+    checkpoints and the supervisor's protocol files go through it.
+    @raise Sys_error on failure, after removing the temporary. *)
 
 val save : path:string -> tag:string -> 'a -> (unit, error) result
 (** Atomically persist [value] under [tag].

@@ -138,35 +138,24 @@ let merge_curves ~(jobs : int) (shards : shard list) :
     points
   |> List.rev (* newest first, like the sequential curve *)
 
-let merge_errno (shards : shard list) : (Venv.errno, int) Hashtbl.t =
-  let merged = Hashtbl.create 8 in
+(* Summed per-key counters (errno and rejection-reason tables). *)
+let merge_counts (size : int) (table : Campaign.stats -> ('k, int) Hashtbl.t)
+    (shards : shard list) : ('k, int) Hashtbl.t =
+  let merged = Hashtbl.create size in
   List.iter
     (fun sh ->
        Hashtbl.iter
-         (fun e n ->
-            Hashtbl.replace merged e
-              (n + Option.value (Hashtbl.find_opt merged e) ~default:0))
-         sh.sh_stats.Campaign.st_errno)
-    shards;
-  merged
-
-let merge_reasons (shards : shard list) :
-  (Reject_reason.t, int) Hashtbl.t =
-  let merged = Hashtbl.create 16 in
-  List.iter
-    (fun sh ->
-       Hashtbl.iter
-         (fun r n ->
-            Hashtbl.replace merged r
-              (n + Option.value (Hashtbl.find_opt merged r) ~default:0))
-         sh.sh_stats.Campaign.st_reasons)
+         (fun k n ->
+            Hashtbl.replace merged k
+              (n + Option.value (Hashtbl.find_opt merged k) ~default:0))
+         (table sh.sh_stats))
     shards;
   merged
 
 let merge_stats ~(jobs : int) (cov : Coverage.t) (shards : shard list) :
   Campaign.stats =
   match shards with
-  | [] -> invalid_arg "Parallel.merge_stats: no shards"
+  | [] -> invalid_arg "Parallel.join: no shards"
   | first :: _ ->
     let sum f = List.fold_left (fun acc sh -> acc + f sh.sh_stats) 0 shards in
     let sumf f =
@@ -178,8 +167,8 @@ let merge_stats ~(jobs : int) (cov : Coverage.t) (shards : shard list) :
       st_generated = sum (fun s -> s.Campaign.st_generated);
       st_accepted = sum (fun s -> s.Campaign.st_accepted);
       st_rejected = sum (fun s -> s.Campaign.st_rejected);
-      st_errno = merge_errno shards;
-      st_reasons = merge_reasons shards;
+      st_errno = merge_counts 8 (fun s -> s.Campaign.st_errno) shards;
+      st_reasons = merge_counts 16 (fun s -> s.Campaign.st_reasons) shards;
       st_findings = merge_findings ~jobs shards;
       st_curve = merge_curves ~jobs shards;
       st_histogram =
@@ -212,8 +201,7 @@ let merge_stats ~(jobs : int) (cov : Coverage.t) (shards : shard list) :
          merged);
     }
 
-let merge_corpora ~(jobs : int) ?(max_size = 256) (shards : shard list) :
-  Corpus.t =
+let merge_corpora ~(jobs : int) (shards : shard list) : Corpus.t =
   List.concat_map
     (fun sh ->
        List.map
@@ -224,7 +212,60 @@ let merge_corpora ~(jobs : int) ?(max_size = 256) (shards : shard list) :
                   e.Corpus.added_at })
          sh.sh_corpus)
     shards
-  |> Corpus.of_entries ~max_size
+  |> Corpus.of_entries
+
+(* A shard from a snapshot — a live campaign goes through
+   [Campaign.snapshot c] — in the portable form the join merges. *)
+let shard ~(index : int) (s : Campaign.snapshot) : shard =
+  {
+    sh_index = index;
+    sh_seed = s.Campaign.sn_seed;
+    sh_iterations = s.Campaign.sn_completed;
+    sh_stats = s.Campaign.sn_stats;
+    sh_corpus = Corpus.entries s.Campaign.sn_corpus;
+    sh_edges = Coverage.named_edges s.Campaign.sn_cov;
+  }
+
+(* The one join every executor uses: union the shards' coverage, then
+   merge their stats against it and their corpora. *)
+let join ?(prof = Bvf_util.Prof.disabled) ~(jobs : int)
+    ~(iterations : int) (shards : shard list) : result =
+  let cov = Coverage.create () in
+  Bvf_util.Prof.span prof "absorb" (fun () ->
+      List.iter
+        (fun sh -> ignore (Coverage.absorb_named cov sh.sh_edges))
+        shards);
+  Bvf_util.Prof.span prof "merge" (fun () ->
+      {
+        pr_jobs = jobs;
+        pr_iterations = iterations;
+        pr_stats = merge_stats ~jobs cov shards;
+        pr_cov = cov;
+        pr_corpus = merge_corpora ~jobs shards;
+        pr_shards = shards;
+      })
+
+(* Shard [i]'s fault plan: rate [failslab_rate], seeded
+   [failslab_seed + i] ([failslab_seed] defaults to [seed]). *)
+let shard_failslab ?failslab_rate ?failslab_seed ~(seed : int) (i : int) :
+  Bvf_kernel.Failslab.t option =
+  match failslab_rate with
+  | Some rate when rate > 0.0 ->
+    Some
+      (Bvf_kernel.Failslab.create ~rate
+         ~seed:(Option.value failslab_seed ~default:seed + i)
+         ())
+  | Some _ | None -> None
+
+let shard_trace_path (trace : string) (i : int) : string =
+  trace ^ ".shard" ^ string_of_int i
+
+(* Merge the [jobs] shard trace files into [trace] (stable by global
+   iteration) and remove them. *)
+let merge_traces (trace : string) ~(jobs : int) : unit =
+  let paths = List.init jobs (shard_trace_path trace) in
+  ignore (Telemetry.merge_shards ~into:trace paths);
+  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) paths
 
 (* Offline checkpoint merge (bvf merge): fold independent campaign
    snapshots into one reportable snapshot through the same machinery the
@@ -268,59 +309,24 @@ let merge_snapshots (snapshots : Campaign.snapshot list) :
              (Campaign.Environment
                 "cannot merge checkpoints taken under different configs"))
       rest;
-    let shards =
-      List.map
-        (fun (s : Campaign.snapshot) ->
-           {
-             sh_index = 0;
-             sh_seed = s.Campaign.sn_seed;
-             sh_iterations = s.Campaign.sn_completed;
-             sh_stats = s.Campaign.sn_stats;
-             sh_corpus = Corpus.entries s.Campaign.sn_corpus;
-             sh_edges = Coverage.named_edges s.Campaign.sn_cov;
-           })
-        snapshots
+    let shards = List.map (shard ~index:0) snapshots in
+    let r =
+      join ~jobs:1
+        ~iterations:
+          (List.fold_left (fun acc sh -> acc + sh.sh_iterations) 0 shards)
+        shards
     in
-    let cov = Coverage.create () in
-    List.iter
-      (fun sh -> ignore (Coverage.absorb_named cov sh.sh_edges))
-      shards;
-    {
-      Campaign.sn_tool = first.Campaign.sn_tool;
-      sn_kernel = first.Campaign.sn_kernel;
-      sn_seed = first.Campaign.sn_seed;
-      sn_sanitize = first.Campaign.sn_sanitize;
-      sn_unprivileged = first.Campaign.sn_unprivileged;
-      sn_witness = first.Campaign.sn_witness;
-      sn_lint = first.Campaign.sn_lint;
-      sn_completed =
-        List.fold_left
-          (fun acc (s : Campaign.snapshot) ->
-             acc + s.Campaign.sn_completed)
-          0 snapshots;
+    { first with
+      Campaign.sn_completed = r.pr_iterations;
       sn_merged = true;
       sn_rng = 0L;
       sn_failslab = Bvf_kernel.Failslab.off ();
-      sn_corpus = merge_corpora ~jobs:1 shards;
-      sn_cov = cov;
-      sn_stats = merge_stats ~jobs:1 cov shards;
+      sn_corpus = r.pr_corpus;
+      sn_cov = r.pr_cov;
+      sn_stats = r.pr_stats;
     }
 
 (* -- Driving ----------------------------------------------------------- *)
-
-let shard_of_campaign ~(index : int) ~(seed : int) ~(iterations : int)
-    (c : Campaign.t) : shard =
-  {
-    sh_index = index;
-    sh_seed = seed;
-    sh_iterations = iterations;
-    sh_stats = c.Campaign.stats;
-    sh_corpus = Corpus.entries c.Campaign.corpus;
-    sh_edges = Coverage.named_edges c.Campaign.cov;
-  }
-
-let shard_trace_path (trace : string) (i : int) : string =
-  trace ^ ".shard" ^ string_of_int i
 
 let run ?(sample_every = 64) ?trace ?log_level ?failslab_rate
     ?failslab_seed ?on_step ?(prof = Bvf_util.Prof.null) ~(jobs : int)
@@ -337,15 +343,6 @@ let run ?(sample_every = 64) ?trace ?log_level ?failslab_rate
   in
   let main_prof =
     Bvf_util.Prof.track prof ~name:"coordinator" jobs
-  in
-  let plan_for (i : int) : Bvf_kernel.Failslab.t option =
-    match failslab_rate with
-    | Some rate when rate > 0.0 ->
-      Some
-        (Bvf_kernel.Failslab.create ~rate
-           ~seed:(Option.value failslab_seed ~default:seed + i)
-           ())
-    | Some _ | None -> None
   in
   (* Each shard writes its own trace file with iterations already
      rewritten to global numbering; the join merges them into [trace].
@@ -371,8 +368,9 @@ let run ?(sample_every = 64) ?trace ?log_level ?failslab_rate
         let on_step = Option.map (fun f -> f i) on_step in
         let c =
           Campaign.run_t ~sample_every ~telemetry ?log_level
-            ~prof:shard_prof.(i) ?failslab:(plan_for i) ?on_step
-            ~seed:(seed + i) ~iterations:counts.(i) strategy config
+            ~prof:shard_prof.(i)
+            ?failslab:(shard_failslab ?failslab_rate ?failslab_seed ~seed i)
+            ?on_step ~seed:(seed + i) ~iterations:counts.(i) strategy config
         in
         Telemetry.close telemetry;
         c)
@@ -381,14 +379,13 @@ let run ?(sample_every = 64) ?trace ?log_level ?failslab_rate
     (* the sequential path, verbatim: same calls in the same domain, so
        stats and digest are bit-identical to Campaign.run *)
     let c = run_shard 0 in
-    let sh = shard_of_campaign ~index:0 ~seed ~iterations c in
     {
       pr_jobs = 1;
       pr_iterations = iterations;
       pr_stats = c.Campaign.stats;
       pr_cov = c.Campaign.cov;
       pr_corpus = c.Campaign.corpus;
-      pr_shards = [ sh ];
+      pr_shards = [ shard ~index:0 (Campaign.snapshot c) ];
     }
   end
   else begin
@@ -398,38 +395,15 @@ let run ?(sample_every = 64) ?trace ?log_level ?failslab_rate
     in
     let shards =
       Bvf_util.Prof.span main_prof "join" (fun () ->
-          Array.to_list
-            (Array.mapi
-               (fun i d ->
-                  shard_of_campaign ~index:i ~seed:(seed + i)
-                    ~iterations:counts.(i) (Domain.join d))
-               domains))
+          List.init jobs (fun i ->
+              shard ~index:i (Campaign.snapshot (Domain.join domains.(i)))))
     in
-    (match trace with
-     | Some path ->
-       Bvf_util.Prof.span main_prof "trace-merge" (fun () ->
-           let shard_paths =
-             List.init jobs (fun i -> shard_trace_path path i)
-           in
-           ignore (Telemetry.merge_shards ~into:path shard_paths);
-           List.iter
-             (fun p -> if Sys.file_exists p then Sys.remove p)
-             shard_paths)
-     | None -> ());
-    let cov = Coverage.create () in
-    Bvf_util.Prof.span main_prof "absorb" (fun () ->
-        List.iter
-          (fun sh -> ignore (Coverage.absorb_named cov sh.sh_edges))
-          shards);
-    Bvf_util.Prof.span main_prof "merge" (fun () ->
-        {
-          pr_jobs = jobs;
-          pr_iterations = iterations;
-          pr_stats = merge_stats ~jobs cov shards;
-          pr_cov = cov;
-          pr_corpus = merge_corpora ~jobs shards;
-          pr_shards = shards;
-        })
+    Option.iter
+      (fun path ->
+         Bvf_util.Prof.span main_prof "trace-merge" (fun () ->
+             merge_traces path ~jobs))
+      trace;
+    join ~prof:main_prof ~jobs ~iterations shards
   end
 
 let digest (r : result) : string = Campaign.digest r.pr_stats

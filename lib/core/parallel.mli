@@ -47,18 +47,39 @@ val shard_iterations : iterations:int -> jobs:int -> int array
 val global_iteration : jobs:int -> shard:int -> int -> int
 (** [global_iteration ~jobs ~shard local] is [local * jobs + shard]. *)
 
-val merge_stats :
-  jobs:int -> Bvf_verifier.Coverage.t -> shard list -> Campaign.stats
-(** Fold shard stats into one merged stats against the given union
-    coverage map.  Deterministic in the shard list order.
-    @raise Invalid_argument on an empty shard list. *)
+val shard_failslab :
+  ?failslab_rate:float -> ?failslab_seed:int -> seed:int -> int ->
+  Bvf_kernel.Failslab.t option
+(** [shard_failslab ?failslab_rate ?failslab_seed ~seed i] is shard
+    [i]'s fault plan: [None] unless [failslab_rate > 0], else seeded
+    [failslab_seed + i] ([failslab_seed] defaults to [seed]).  Both the
+    domain shards of {!run} and the {!Supervisor}'s workers use it. *)
 
-val merge_corpora : jobs:int -> ?max_size:int -> shard list -> Corpus.t
+val shard : index:int -> Campaign.snapshot -> shard
+(** [shard ~index s] is snapshot [s] as shard [index] of a join: its
+    seed, completed iterations, stats, corpus entries and portable
+    coverage listing.  A live campaign [c] enters as
+    [shard ~index (Campaign.snapshot c)]. *)
+
+val join :
+  ?prof:Bvf_util.Prof.t -> jobs:int -> iterations:int -> shard list ->
+  result
+(** The one shard join {!run}, {!merge_snapshots} and the
+    {!Supervisor} use: union the shards' coverage, merge their stats
+    against the union (findings at their earliest global iteration,
+    counters and histograms summed, summed per-shard curve) and their
+    corpora (re-scored at global iterations).  Deterministic in the
+    shard list order; [prof] records "absorb" and "merge" spans.
+    @raise Invalid_argument on an empty shard list. *)
 
 val shard_trace_path : string -> int -> string
 (** [shard_trace_path trace i] is [trace ^ ".shard" ^ i] — the
     per-shard telemetry file both this runner and the {!Supervisor}
     workers write, so their merged traces come out byte-identical. *)
+
+val merge_traces : string -> jobs:int -> unit
+(** [merge_traces trace ~jobs] merges the [jobs] shard trace files into
+    [trace], stable-sorted by global iteration, and removes them. *)
 
 val merge_snapshots :
   Campaign.snapshot list -> Campaign.snapshot

@@ -9,19 +9,28 @@ open Cimport
      worker-<i>.hb     heartbeat, atomically renamed before every step
      worker-<i>.done   completion marker (exit 0 without it = crash)
      worker-<i>.err    last uncaught exception, for post-mortems
+     worker-<i>.prof   the worker's profiler spans (only with a profile)
      quarantine.list   global iterations implicated by a crash
      crash-NNN.json    one Triage.harness_crash artifact per kill
 
-   Determinism: a worker replays its segment from the last barrier
-   checkpoint exactly (same RNG stream, same reboot schedule), except
-   for quarantined iterations, which burn the iteration's generation
-   draws without loading (Campaign.step_skip).  A disturbed run is
+   Each worker is one Campaign.run_t over its shard: heartbeat,
+   quarantine skip and fault hook in the pre-step hook, a
+   worker_snapshot writer as the barrier saver.  Determinism: a worker
+   replays its segment from the last barrier checkpoint exactly (same
+   RNG stream, same reboot schedule), except for quarantined
+   iterations, which burn the iteration's generation draws without
+   loading (Campaign.step_skip).  A disturbed run is
    therefore digest-comparable to a fault-free run given the same
    quarantine set — the chaos harness's oracle. *)
 
 (* /2: Campaign.stats gained the per-phase minor-words attribution
    fields (st_gen_w..st_exec_w), changing the marshalled layout. *)
 let worker_tag = "bvf-worker/2"
+
+(* Worker profiles reach the parent through the checkpoint container:
+   the child's spans (one track) under a versioned tag, so a damaged or
+   stale file is an [Error] the parent drops, never an unmarshal. *)
+let prof_tag = "bvf-worker-prof/1"
 
 type worker_snapshot = {
   wk_shard : int;
@@ -55,15 +64,6 @@ let rec mkdirs (dir : string) : unit =
     try Unix.mkdir dir 0o755 with
     | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
-
-(* Atomic publication: a reader never sees a torn file, only the
-   previous or the new contents. *)
-let atomic_write (path : string) (contents : string) : unit =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc contents;
-  close_out oc;
-  Sys.rename tmp path
 
 let remove_if_exists (path : string) : unit =
   try Sys.remove path with Sys_error _ -> ()
@@ -134,7 +134,7 @@ let quarantine_of_file (path : string) : int list =
 let write_quarantine (dir : string) (globals : int list) : unit =
   let b = Buffer.create 128 in
   List.iter (fun g -> Printf.bprintf b "%d\n" g) globals;
-  atomic_write (quarantine_path dir) (Buffer.contents b)
+  Checkpoint.atomic_write (quarantine_path dir) (Buffer.contents b)
 
 (* heartbeat line: "seq local global pid" *)
 let read_hb (path : string) : (int * int * int) option =
@@ -190,219 +190,18 @@ let unix_signal (sg : int) : int =
    through the Parallel machinery does exactly the remap. *)
 let globalize (w : worker_snapshot) : Campaign.snapshot =
   let s = w.wk_snapshot in
-  let sh =
-    {
-      Parallel.sh_index = w.wk_shard;
-      sh_seed = s.Campaign.sn_seed;
-      sh_iterations = s.Campaign.sn_completed;
-      sh_stats = s.Campaign.sn_stats;
-      sh_corpus = Corpus.entries s.Campaign.sn_corpus;
-      sh_edges = Coverage.named_edges s.Campaign.sn_cov;
-    }
+  let r =
+    Parallel.join ~jobs:w.wk_workers ~iterations:s.Campaign.sn_completed
+      [ Parallel.shard ~index:w.wk_shard s ]
   in
-  let cov = Coverage.create () in
-  ignore (Coverage.absorb_named cov sh.Parallel.sh_edges);
   { s with
     Campaign.sn_merged = true;
     sn_rng = 0L;
     sn_failslab = Bvf_kernel.Failslab.off ();
-    sn_cov = cov;
-    sn_corpus = Parallel.merge_corpora ~jobs:w.wk_workers [ sh ];
-    sn_stats = Parallel.merge_stats ~jobs:w.wk_workers cov [ sh ];
+    sn_cov = r.Parallel.pr_cov;
+    sn_corpus = r.Parallel.pr_corpus;
+    sn_stats = r.Parallel.pr_stats;
   }
-
-(* -- Worker (child process) --------------------------------------------- *)
-
-type wargs = {
-  wa_shard : int;
-  wa_workers : int;
-  wa_seed : int;
-  wa_iterations : int;  (* local budget *)
-  wa_dir : string;
-  wa_checkpoint_every : int;
-  wa_sample_every : int;
-  wa_log_level : int;
-  wa_trace : string option;
-  wa_failslab_rate : float option;
-  wa_failslab_seed : int option;
-  wa_fault : (worker:int -> local:int -> global:int -> unit) option;
-  wa_profile : bool;
-      (* record profiler spans in the child and hand them to the parent
-         via the worker-<i>.prof protocol file at clean exit *)
-  wa_strategy : Campaign.strategy;
-  wa_config : Kconfig.t;
-}
-
-(* Runs in the forked child; never returns (Unix._exit only, so the
-   parent's at_exit hooks and buffers are untouched). *)
-let worker_main (a : wargs) : unit =
-  let stop = ref 0 in
-  Sys.set_signal Sys.sigterm
-    (Sys.Signal_handle (fun _ -> stop := 143));
-  Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop := 130));
-  let shard = a.wa_shard and jobs = a.wa_workers in
-  let global local = Parallel.global_iteration ~jobs ~shard local in
-  let ckpt = ckpt_path a.wa_dir shard in
-  try
-    (* local iterations quarantined for this shard *)
-    let quarantined : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun g ->
-         if g >= 0 && g mod jobs = shard then
-           Hashtbl.replace quarantined (g / jobs) ())
-      (quarantine_of_file (quarantine_path a.wa_dir));
-    (* resume from the last barrier checkpoint when one exists; a
-       corrupt one falls back to a fresh deterministic replay from
-       iteration 0, which reaches the same barriers *)
-    let existing =
-      if Sys.file_exists ckpt then
-        match load_worker ~path:ckpt with
-        | Ok w -> Some w
-        | Error _ -> None
-      else None
-    in
-    let sink =
-      match a.wa_trace with
-      | None -> Telemetry.null
-      | Some t ->
-        let path = Parallel.shard_trace_path t shard in
-        let iter_map local = global local in
-        (match existing with
-         | Some w -> Telemetry.reopen ~iter_map path ~pos:w.wk_trace_pos
-         | None -> Telemetry.create ~iter_map path)
-    in
-    let plan =
-      match a.wa_failslab_rate with
-      | Some rate when rate > 0.0 ->
-        Some
-          (Bvf_kernel.Failslab.create ~rate
-             ~seed:
-               (Option.value a.wa_failslab_seed ~default:a.wa_seed
-                + shard)
-             ())
-      | Some _ | None -> None
-    in
-    (* the child records into its own session (the parent's lives in
-       another process); spans reach the parent through the
-       worker-<i>.prof file written at clean exit, and align with the
-       parent's because Mclock timestamps are absolute *)
-    let psession =
-      if a.wa_profile then Bvf_util.Prof.session ()
-      else Bvf_util.Prof.null
-    in
-    let prof =
-      Bvf_util.Prof.track psession
-        ~name:(Printf.sprintf "worker%d" shard) shard
-    in
-    let c =
-      match existing with
-      | Some w ->
-        Campaign.resume ~sample_every:a.wa_sample_every ~telemetry:sink
-          ~log_level:a.wa_log_level ~prof a.wa_strategy a.wa_config
-          w.wk_snapshot
-      | None ->
-        Campaign.create ~sample_every:a.wa_sample_every ~telemetry:sink
-          ~log_level:a.wa_log_level ~prof ?failslab:plan
-          ~seed:(a.wa_seed + shard) a.wa_strategy a.wa_config
-    in
-    let seq = ref 0 in
-    let heartbeat (local : int) : unit =
-      Bvf_util.Prof.span prof "heartbeat" @@ fun () ->
-      incr seq;
-      atomic_write (hb_path a.wa_dir shard)
-        (Printf.sprintf "%d %d %d %d\n" !seq local (global local)
-           (Unix.getpid ()));
-      (* at most the in-flight iteration's events are lost to SIGKILL *)
-      Telemetry.flush sink
-    in
-    let last_saved = ref c.Campaign.stats.Campaign.st_generated in
-    let save_worker () : unit =
-      Bvf_util.Prof.span prof "checkpoint" @@ fun () ->
-      let pos = Telemetry.pos sink in
-      (match
-         Checkpoint.save ~path:ckpt ~tag:worker_tag
-           { wk_shard = shard; wk_workers = jobs; wk_trace_pos = pos;
-             wk_snapshot = Campaign.snapshot c }
-       with
-       | Ok () -> ()
-       | Error e ->
-         failwith
-           ("worker checkpoint write failed: "
-            ^ Checkpoint.error_to_string e));
-      last_saved := c.Campaign.stats.Campaign.st_generated
-    in
-    (* a stop (SIGTERM/SIGINT) acts as an extra barrier: checkpoint,
-       then exit; resume performs the post-save reboot *)
-    let stop_exit () : unit =
-      if c.Campaign.stats.Campaign.st_generated <> !last_saved then begin
-        Telemetry.emit sink
-          (Telemetry.Checkpoint
-             { iter = c.Campaign.stats.Campaign.st_generated });
-        save_worker ()
-      end;
-      Telemetry.close sink;
-      Unix._exit !stop
-    in
-    let at_barrier () =
-      a.wa_checkpoint_every > 0
-      && c.Campaign.stats.Campaign.st_generated mod a.wa_checkpoint_every
-         = 0
-    in
-    (* one top-level span covering the worker's whole fuzzing segment,
-       mirroring Parallel's per-shard "iterate"; left open (and the
-       profile unsaved) on the stop_exit path — interrupted runs carry
-       no profile *)
-    let fr_iter = Bvf_util.Prof.start prof "iterate" in
-    while c.Campaign.stats.Campaign.st_generated < a.wa_iterations do
-      if !stop <> 0 then stop_exit ();
-      let local = c.Campaign.stats.Campaign.st_generated in
-      heartbeat local;
-      if Hashtbl.mem quarantined local then Campaign.step_skip c
-      else begin
-        (match a.wa_fault with
-         | Some f -> f ~worker:shard ~local ~global:(global local)
-         | None -> ());
-        Campaign.step c
-      end;
-      if !stop <> 0 then stop_exit ()
-      else if at_barrier () then begin
-        (* barrier: the Checkpoint event goes out before the position
-           is recorded, so a restart resumes just after it and an
-           undisturbed worker writes the same trace bytes *)
-        Telemetry.emit sink
-          (Telemetry.Checkpoint
-             { iter = c.Campaign.stats.Campaign.st_generated });
-        save_worker ();
-        Campaign.reboot c
-      end
-    done;
-    (* closing sample, deduplicated exactly like Campaign.run_t so a
-       fault-free supervised shard equals a Parallel.run shard *)
-    let final =
-      { Campaign.sa_iteration = c.Campaign.stats.Campaign.st_generated;
-        sa_edges = Coverage.edge_count c.Campaign.cov }
-    in
-    c.Campaign.stats.Campaign.st_curve <-
-      final
-      :: List.filter
-        (fun (sa : Campaign.sample) ->
-           sa.Campaign.sa_iteration <> final.Campaign.sa_iteration)
-        c.Campaign.stats.Campaign.st_curve;
-    save_worker ();
-    ignore (Bvf_util.Prof.stop prof fr_iter);
-    (* spans must be on disk before the done marker: once the parent
-       sees worker-<i>.done it may read the profile immediately *)
-    if a.wa_profile then
-      Bvf_util.Prof.save (prof_path a.wa_dir shard) prof;
-    atomic_write (done_path a.wa_dir shard) "ok\n";
-    Telemetry.close sink;
-    Unix._exit 0
-  with e ->
-    (try
-       atomic_write (err_path a.wa_dir shard)
-         (Printexc.to_string e ^ "\n")
-     with _ -> ());
-    Unix._exit 70
 
 (* -- Supervisor (parent process) ---------------------------------------- *)
 
@@ -491,24 +290,124 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
   in
   write_quarantine dir !quarantine_set;
   let crashes = ref [] (* newest first *) and ncrashes = ref 0 in
-  let wargs (i : int) : wargs =
-    {
-      wa_shard = i;
-      wa_workers = workers;
-      wa_seed = seed;
-      wa_iterations = counts.(i);
-      wa_dir = dir;
-      wa_checkpoint_every = checkpoint_every;
-      wa_sample_every = sample_every;
-      wa_log_level = log_level;
-      wa_trace = trace;
-      wa_failslab_rate = failslab_rate;
-      wa_failslab_seed = failslab_seed;
-      wa_fault = fault;
-      wa_profile = Bvf_util.Prof.active prof;
-      wa_strategy = strategy;
-      wa_config = config;
-    }
+  (* Runs in the forked child; never returns (Unix._exit only, so the
+     parent's at_exit hooks and buffers are untouched). *)
+  let worker (shard : int) : unit =
+    let stop_sig = ref 0 in
+    Sys.set_signal Sys.sigterm
+      (Sys.Signal_handle (fun _ -> stop_sig := 143));
+    Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop_sig := 130));
+    let global local = Parallel.global_iteration ~jobs:workers ~shard local in
+    let ckpt = ckpt_path dir shard in
+    try
+      (* resume from the last barrier checkpoint when one exists; a
+         corrupt one falls back to a fresh deterministic replay from
+         iteration 0, which reaches the same barriers *)
+      let existing =
+        if Sys.file_exists ckpt then Result.to_option (load_worker ~path:ckpt)
+        else None
+      in
+      let sink =
+        match trace with
+        | None -> Telemetry.null
+        | Some t ->
+          let path = Parallel.shard_trace_path t shard in
+          (match existing with
+           | Some w ->
+             Telemetry.reopen ~iter_map:global path ~pos:w.wk_trace_pos
+           | None -> Telemetry.create ~iter_map:global path)
+      in
+      (* the child records into its own session (the parent's lives in
+         another process); spans reach the parent through the
+         worker-<i>.prof file written at clean exit, and align with the
+         parent's because Mclock timestamps are absolute *)
+      let psession =
+        if Bvf_util.Prof.active prof then Bvf_util.Prof.session ()
+        else Bvf_util.Prof.null
+      in
+      let wprof =
+        Bvf_util.Prof.track psession
+          ~name:(Printf.sprintf "worker%d" shard) shard
+      in
+      let seq = ref 0 in
+      (* pre-step hook: heartbeat, then the quarantine skip (the set as
+         of this fork, also on disk) or the test fault hook *)
+      let pre_step (local : int) : bool =
+        Bvf_util.Prof.span wprof "heartbeat" (fun () ->
+            incr seq;
+            Checkpoint.atomic_write (hb_path dir shard)
+              (Printf.sprintf "%d %d %d %d\n" !seq local (global local)
+                 (Unix.getpid ()));
+            (* at most the in-flight iteration's events are lost to
+               SIGKILL *)
+            Telemetry.flush sink);
+        List.mem (global local) !quarantine_set
+        || begin
+          Option.iter
+            (fun f -> f ~worker:shard ~local ~global:(global local))
+            fault;
+          false
+        end
+      in
+      (* the trace position is read after run_t emitted the Checkpoint
+         event, so a restart resumes just after it *)
+      let save (s : Campaign.snapshot) =
+        Checkpoint.save ~path:ckpt ~tag:worker_tag
+          { wk_shard = shard; wk_workers = workers;
+            wk_trace_pos = Telemetry.pos sink; wk_snapshot = s }
+      in
+      (* one top-level span covering the worker's whole fuzzing segment,
+         mirroring Parallel's per-shard "iterate"; left open (and the
+         profile unsaved) on the stop path — interrupted runs carry no
+         profile *)
+      let fr_iter = Bvf_util.Prof.start wprof "iterate" in
+      let resume_from = Option.map (fun w -> w.wk_snapshot) existing in
+      let done_already =
+        Option.fold ~none:0 ~some:(fun s -> s.Campaign.sn_completed)
+          resume_from
+      in
+      let c =
+        Campaign.run_t ~sample_every ~telemetry:sink ~log_level ~prof:wprof
+          ~checkpoint_every ~save
+          ?failslab:(Parallel.shard_failslab ?failslab_rate ?failslab_seed
+                       ~seed shard)
+          ?resume_from ~skip:pre_step ~stop:(fun () -> !stop_sig <> 0)
+          ~seed:(seed + shard) ~iterations:(counts.(shard) - done_already)
+          strategy config
+      in
+      (* a stop ended run_t early after saving its checkpoint; resume
+         performs the post-save reboot *)
+      if c.Campaign.stats.Campaign.st_generated < counts.(shard) then begin
+        Telemetry.close sink;
+        Unix._exit !stop_sig
+      end;
+      (match
+         Bvf_util.Prof.span wprof "checkpoint" (fun () ->
+             save (Campaign.snapshot c))
+       with
+       | Ok () -> ()
+       | Error e ->
+         failwith
+           ("worker checkpoint write failed: "
+            ^ Checkpoint.error_to_string e));
+      ignore (Bvf_util.Prof.stop wprof fr_iter);
+      (* spans must be on disk before the done marker: once the parent
+         sees worker-<i>.done it may read the profile immediately.  A
+         failed write only drops this worker's track, like a damaged
+         file: profiling is an observer and never fails the shard. *)
+      if Bvf_util.Prof.active psession then
+        ignore
+          (Checkpoint.save ~path:(prof_path dir shard) ~tag:prof_tag
+             (Bvf_util.Prof.spans psession));
+      Checkpoint.atomic_write (done_path dir shard) "ok\n";
+      Telemetry.close sink;
+      Unix._exit 0
+    with e ->
+      (try
+         Checkpoint.atomic_write (err_path dir shard)
+           (Printexc.to_string e ^ "\n")
+       with _ -> ());
+      Unix._exit 70
   in
   let spawn (i : int) : wstate =
     remove_if_exists (hb_path dir i);
@@ -518,7 +417,7 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
     flush stderr;
     match Unix.fork () with
     | 0 ->
-      (try worker_main (wargs i) with _ -> ());
+      (try worker i with _ -> ());
       Unix._exit 70
     | pid ->
       Running
@@ -555,7 +454,8 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
     in
     incr ncrashes;
     (try
-       atomic_write artifact (Triage.harness_crash_to_json crash ^ "\n")
+       Checkpoint.atomic_write artifact
+         (Triage.harness_crash_to_json crash ^ "\n")
      with Sys_error _ -> ());
     (* quarantine the iteration the heartbeat implicates, so the
        restart makes forward progress past a deterministic crasher *)
@@ -709,66 +609,38 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
   let outcome =
     if !interrupting then Interrupted report
     else begin
-    (* merge the final worker checkpoints exactly the way Parallel's
-       in-process join merges shard results *)
-    (match trace with
-     | None -> ()
-     | Some t ->
-       (* a retired worker's trace may carry events past its last
-          barrier; trim to the checkpointed offset so the merged trace
-          matches the merged stats *)
-       Array.iteri
-         (fun i final ->
-            let p = Parallel.shard_trace_path t i in
-            if Sys.file_exists p then
-              match final with
-              | Some w ->
-                let fd = Unix.openfile p [ Unix.O_WRONLY ] 0o644 in
-                Unix.ftruncate fd w.wk_trace_pos;
-                Unix.close fd
-              | None -> remove_if_exists p)
-         finals;
-       let shard_paths =
-         List.init workers (fun i -> Parallel.shard_trace_path t i)
-       in
-       ignore (Telemetry.merge_shards ~into:t shard_paths);
-       List.iter remove_if_exists shard_paths);
+    (* merge the final worker checkpoints through Parallel's join *)
+    Option.iter
+      (fun t ->
+         (* a retired worker's trace may carry events past its last
+            barrier; trim to the checkpointed offset so the merged
+            trace matches the merged stats *)
+         Array.iteri
+           (fun i final ->
+              let p = Parallel.shard_trace_path t i in
+              if Sys.file_exists p then
+                match final with
+                | Some w ->
+                  let fd = Unix.openfile p [ Unix.O_WRONLY ] 0o644 in
+                  Unix.ftruncate fd w.wk_trace_pos;
+                  Unix.close fd
+                | None -> remove_if_exists p)
+           finals;
+         Parallel.merge_traces t ~jobs:workers)
+      trace;
     let shards =
-      List.filter_map
-        (fun i ->
-           match finals.(i) with
-           | None -> None
-           | Some w ->
-             Some
-               {
-                 Parallel.sh_index = i;
-                 sh_seed = seed + i;
-                 sh_iterations = w.wk_snapshot.Campaign.sn_completed;
-                 sh_stats = w.wk_snapshot.Campaign.sn_stats;
-                 sh_corpus = Corpus.entries w.wk_snapshot.Campaign.sn_corpus;
-                 sh_edges = Coverage.named_edges w.wk_snapshot.Campaign.sn_cov;
-               })
-        (List.init workers Fun.id)
+      List.concat
+        (List.init workers (fun i ->
+             match finals.(i) with
+             | Some w -> [ Parallel.shard ~index:i w.wk_snapshot ]
+             | None -> []))
     in
     if shards = [] then
       raise
         (Campaign.Environment
            "supervised campaign: no worker produced a checkpoint to merge");
-    let cov = Coverage.create () in
-    List.iter
-      (fun sh -> ignore (Coverage.absorb_named cov sh.Parallel.sh_edges))
-      shards;
-    let result =
-      {
-        Parallel.pr_jobs = workers;
-        pr_iterations = iterations;
-        pr_stats = Parallel.merge_stats ~jobs:workers cov shards;
-        pr_cov = cov;
-        pr_corpus = Parallel.merge_corpora ~jobs:workers shards;
-        pr_shards = shards;
-      }
-    in
-    Completed (result, report)
+    Completed
+      (Parallel.join ~prof:sup_prof ~jobs:workers ~iterations shards, report)
   end
   in
   (* fold each completed worker's spans back into the parent session;
@@ -776,11 +648,14 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
      track is simply absent from the trace *)
   if Bvf_util.Prof.active prof then
     for i = 0 to workers - 1 do
-      match Bvf_util.Prof.load (prof_path dir i) with
-      | Some (trk, spans) ->
+      match
+        (Checkpoint.load ~path:(prof_path dir i) ~tag:prof_tag
+         : (Bvf_util.Prof.span list, Checkpoint.error) result)
+      with
+      | Ok spans ->
         Bvf_util.Prof.absorb prof
-          ~name:(Printf.sprintf "worker%d" i) ~trk spans
-      | None -> ()
+          ~name:(Printf.sprintf "worker%d" i) ~trk:i spans
+      | Error _ -> ()
     done;
   ignore (Bvf_util.Prof.stop sup_prof fr_join);
   outcome

@@ -143,9 +143,10 @@ val run :
     campaign phase, "heartbeat" and "checkpoint" spans nested inside,
     track [workers] the supervisor's fork/restart/join work.  Each
     child records into its own session and hands the spans to the
-    parent through a [worker-<i>.prof] protocol file at clean exit
-    ({!Bvf_util.Prof.save}); a crashed or interrupted worker leaves no
-    profile, so its track is absent rather than partial.  Pure
+    parent through a [worker-<i>.prof] protocol file at clean exit (a
+    {!Checkpoint} container tagged ["bvf-worker-prof/1"]); a crashed
+    or interrupted worker leaves no profile and a damaged one is
+    dropped, so its track is absent rather than partial.  Pure
     observation — a profiled run's digest and trace are byte-identical
     to an unprofiled one.
 

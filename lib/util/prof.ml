@@ -229,35 +229,6 @@ let tracks (s : session) : (int * string) list =
   List.sort compare s.s_tracks
 
 (* ------------------------------------------------------------------ *)
-(* Worker hand-off (fork-based supervision: the child's spans must
-   cross a process boundary).  Marshal with a format tag, same
-   discipline as campaign checkpoints. *)
-
-let file_tag = "bvf-prof/1"
-
-let save (path : string) (h : t) : unit =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_value oc (file_tag, h.h_track, List.rev h.h_spans);
-  close_out oc;
-  Sys.rename tmp path
-
-let load (path : string) : (int * span list) option =
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in_bin path in
-    let r =
-      match input_value ic with
-      | (tag, trk, spans) when tag = file_tag ->
-        Some ((trk : int), (spans : span list))
-      | _ -> None
-      | exception _ -> None
-    in
-    close_in ic;
-    r
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Chrome trace-event JSON (Perfetto-loadable)                        *)
 
 let escape (s : string) : string =

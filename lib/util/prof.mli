@@ -69,23 +69,14 @@ val track : session -> ?name:string -> int -> t
     use them; registration is the only locked operation. *)
 
 val absorb : session -> ?name:string -> trk:int -> span list -> unit
-(** Add spans recorded elsewhere (e.g. {!load}ed from a worker file)
-    under track [trk]. *)
+(** Add spans recorded elsewhere (e.g. a supervised worker's, handed
+    over in its profile file) under track [trk]. *)
 
 val spans : session -> span list
 (** Every recorded span, sorted by (track, start).  Only call after
     the domains using the session's handles have been joined. *)
 
 val tracks : session -> (int * string) list
-
-(** {1 Worker hand-off} *)
-
-val save : string -> t -> unit
-(** Atomically write a handle's spans for a parent process to
-    {!load} — the fork-based supervisor's child-to-parent channel. *)
-
-val load : string -> (int * span list) option
-(** [Some (track, spans)]; [None] if missing, mistagged or unreadable. *)
 
 (** {1 Chrome trace-event JSON} *)
 

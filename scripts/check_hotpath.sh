@@ -16,6 +16,11 @@
 # noise.  A change that allocates more on purpose refreshes the
 # baseline in the same commit.
 #
+# Work is gated exactly too: a row fails when its insns (instructions
+# processed or executed) differs from the baseline's at all.  The
+# count is a pure function of the seeded corpus, so any difference
+# means the bench measured different work.
+#
 # Usage: scripts/check_hotpath.sh [new.json] [baseline.json] [max-drop-%]
 set -u
 
@@ -54,6 +59,11 @@ for row in new["rows"]:
     print(f"{verdict:4}  {name}: {got:.0f} programs/sec vs baseline "
           f"{want:.0f} ({-drop:+.1f}%)")
     if drop > max_drop:
+        status = 1
+    got_i, want_i = row["insns"], ref["insns"]
+    verdict = "FAIL" if got_i != want_i else "ok"
+    print(f"{verdict:4}  {name}: {got_i} insns vs baseline {want_i}")
+    if got_i != want_i:
         status = 1
     got_w, want_w = row["minor_words_per_prog"], ref["minor_words_per_prog"]
     grew = 100.0 * (got_w - want_w) / want_w if want_w > 0 else 0.0

@@ -148,6 +148,98 @@ let test_chrome_malformed_reported () =
   Alcotest.(check int) "overlapping events still parse" 2
     (List.length spans)
 
+(* -- Adversarial Chrome trace reader ------------------------------------ *)
+
+(* A real [write_chrome] output: two named tracks, nested spans, a
+   post-hoc record and a name that needs escaping. *)
+let chrome_text : string Lazy.t =
+  lazy
+    (let s = Prof.session () in
+     let h0 = Prof.track s ~name:"shard0" 0 in
+     let h1 = Prof.track s ~name:"worker \"1\"" 1 in
+     for _ = 1 to 3 do
+       Prof.span h0 "iterate" (fun () ->
+           Prof.span h0 "gen" (fun () -> ());
+           Prof.span h0 "verify" (fun () ->
+               Prof.record h0 ~name:"sanitize" ~dur_s:1e-9 ~minor_w:3.0 ()))
+     done;
+     Prof.span h1 "heart\nbeat" (fun () -> ());
+     let path = Filename.temp_file "bvf_prof_src" ".json" in
+     Prof.write_chrome path ~tracks:(Prof.tracks s) (Prof.spans s);
+     let text = read_all path in
+     Sys.remove path;
+     text)
+
+(* Truncations, bit flips, and lines duplicated, dropped or spliced
+   from two halves of different lines, applied one to four times. *)
+let gen_damaged_chrome : string QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let edit =
+    let* kind = int_bound 4 and* a = int_bound 100_000
+    and* b = int_bound 100_000 and* bit = int_bound 7 in
+    return (kind, a, b, bit)
+  in
+  let apply text (kind, a, b, bit) =
+    let n = String.length text in
+    if n = 0 then text
+    else
+      match kind with
+      | 0 -> String.sub text 0 (a mod n)
+      | 1 ->
+        let by = Bytes.of_string text in
+        let i = a mod n in
+        Bytes.set by i
+          (Char.chr (Char.code (Bytes.get by i) lxor (1 lsl bit)));
+        Bytes.to_string by
+      | _ ->
+        let lines = Array.of_list (String.split_on_char '\n' text) in
+        let m = Array.length lines in
+        let i = a mod m and j = b mod m in
+        let l = Array.to_list lines in
+        let l =
+          match kind with
+          | 2 ->
+            List.concat
+              (List.mapi (fun k x -> if k = i then [ x; x ] else [ x ]) l)
+          | 3 -> List.filteri (fun k _ -> k <> i) l
+          | _ ->
+            let x = lines.(i) and y = lines.(j) in
+            let spliced =
+              String.sub x 0 (String.length x / 2)
+              ^ String.sub y (String.length y / 2)
+                  (String.length y - String.length y / 2)
+            in
+            List.mapi (fun k z -> if k = i then spliced else z) l
+        in
+        String.concat "\n" l
+  in
+  let* edits = list_size (int_range 1 4) edit in
+  return (List.fold_left apply (Lazy.force chrome_text) edits)
+
+let read_chrome_never_raises =
+  QCheck2.Test.make ~count:1000
+    ~name:"read_chrome never raises on damaged traces"
+    ~print:(Printf.sprintf "%S") gen_damaged_chrome
+    (fun text ->
+       let path = Filename.temp_file "bvf_prof_dmg" ".json" in
+       Out_channel.with_open_bin path (fun oc ->
+           Out_channel.output_string oc text);
+       let result =
+         match Prof.read_chrome path with
+         | _, _, complaints ->
+           (* a cut before the closing brace can never parse clean *)
+           let full = Lazy.force chrome_text in
+           let n = String.length text in
+           not
+             (n < String.length full - 1
+              && String.sub full 0 n = text
+              && complaints = [])
+         | exception e ->
+           QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e)
+       in
+       Sys.remove path;
+       result)
+
 (* -- Purity: profiled == unprofiled, sequential and sharded ------------ *)
 
 let campaign_run ~profiled =
@@ -355,6 +447,7 @@ let () =
           Alcotest.test_case "round trip" `Quick test_chrome_round_trip;
           Alcotest.test_case "malformed reported" `Quick
             test_chrome_malformed_reported;
+          QCheck_alcotest.to_alcotest read_chrome_never_raises;
         ] );
       ( "purity",
         [

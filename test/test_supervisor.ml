@@ -20,6 +20,7 @@ module Parallel = Bvf_core.Parallel
 module Supervisor = Bvf_core.Supervisor
 module Telemetry = Bvf_core.Telemetry
 module Triage = Bvf_core.Triage
+module Prof = Bvf_util.Prof
 
 let config () = Kconfig.default Version.V6_1
 
@@ -37,10 +38,10 @@ let read_file (path : string) : string =
 
 (* Fast supervision parameters for tests: tight poll, tiny backoff. *)
 let sv ?trace ?(checkpoint_every = 1_000_000) ?(deadline_s = 30.)
-    ?(max_restarts = 5) ?quarantine ?fault ?stop ~dir ~seed ~iterations
-    ~workers () =
+    ?(max_restarts = 5) ?quarantine ?fault ?prof ?stop ~dir ~seed
+    ~iterations ~workers () =
   Supervisor.run ?trace ~checkpoint_every ~deadline_s ~poll_s:0.02
-    ~max_restarts ~backoff_s:0.01 ?quarantine ?fault ?stop ~workers
+    ~max_restarts ~backoff_s:0.01 ?quarantine ?fault ?prof ?stop ~workers
     ~seed ~iterations ~dir Campaign.bvf_strategy (config ())
 
 let completed = function
@@ -170,6 +171,35 @@ let test_crash_restart_quarantine () =
   Alcotest.(check (list string)) "findings unchanged by the crash"
     (Campaign.fingerprints reference.Parallel.pr_stats)
     (Campaign.fingerprints result.Parallel.pr_stats)
+
+(* A restart reopens the worker's trace at the offset its last barrier
+   checkpoint recorded.  Campaign.run_t emits the barrier's checkpoint
+   event before the worker saves, so that offset lies just after the
+   event: a run disturbed between barriers writes the same trace bytes
+   as a fault-free run given the same quarantine.  Global iteration 23
+   is worker 1's local 11, one past its barrier at 10. *)
+let test_crash_trace_bytes () =
+  let dir = temp_dir "bvf_sv_trace" in
+  let trace_d = Filename.concat dir "disturbed.jsonl" in
+  let trace_r = Filename.concat dir "reference.jsonl" in
+  let fault ~worker:_ ~local:_ ~global =
+    if global = 23 then Unix._exit 42
+  in
+  let _, report =
+    completed
+      (sv ~trace:trace_d ~checkpoint_every:5 ~fault
+         ~dir:(Filename.concat dir "state") ~seed:5 ~iterations:40
+         ~workers:2 ())
+  in
+  Alcotest.(check (list int)) "iteration 23 quarantined" [ 23 ]
+    report.rp_quarantined;
+  ignore
+    (completed
+       (sv ~trace:trace_r ~checkpoint_every:5 ~quarantine:[ 23 ]
+          ~dir:(Filename.concat dir "ref") ~seed:5 ~iterations:40
+          ~workers:2 ()));
+  Alcotest.(check string) "disturbed trace equals the reference's"
+    (read_file trace_r) (read_file trace_d)
 
 (* -- Watchdog: self-kill (SIGKILL) fixture ------------------------------ *)
 
@@ -376,6 +406,65 @@ let test_interrupt_then_resume () =
   Alcotest.(check string) "resumed digest equals undisturbed (mod reboots)"
     (Campaign.digest fs) (Campaign.digest rs)
 
+(* -- Worker profile hand-off ---------------------------------------------- *)
+
+(* A damaged worker-<i>.prof is dropped, not unmarshalled: the run still
+   completes with the undisturbed digest, and only that worker's track
+   is missing from the parent's profile.  Worker 0 holds its last
+   iteration until the parent (through the polled [stop]) has flipped
+   a byte of worker 1's finished profile, so the damage always lands
+   before the join reads it. *)
+let test_damaged_worker_profile () =
+  let dir = temp_dir "bvf_sv_prof" in
+  let state = Filename.concat dir "state" in
+  let in_state f = Filename.concat state f in
+  let marker = Filename.concat dir "damaged" in
+  let fault ~worker ~local ~global:_ =
+    if worker = 0 && local = 19 then begin
+      let waited = ref 0 in
+      while (not (Sys.file_exists marker)) && !waited < 2000 do
+        Unix.sleepf 0.01;
+        incr waited
+      done
+    end
+  in
+  let stop () =
+    if (not (Sys.file_exists marker))
+       && Sys.file_exists (in_state "worker-1.done") then begin
+      let text = Bytes.of_string (read_file (in_state "worker-1.prof")) in
+      let i = Bytes.length text - 3 in
+      Bytes.set text i (Char.chr (Char.code (Bytes.get text i) lxor 0x10));
+      Out_channel.with_open_bin (in_state "worker-1.prof") (fun oc ->
+          Out_channel.output_bytes oc text);
+      close_out (open_out marker)
+    end;
+    false
+  in
+  let prof = Prof.session () in
+  let result, report =
+    completed
+      (sv ~fault ~prof ~stop ~dir:state ~seed:7 ~iterations:40 ~workers:2 ())
+  in
+  Alcotest.(check bool) "the profile was damaged mid-run" true
+    (Sys.file_exists marker);
+  Alcotest.(check int) "no crashes" 0 (List.length report.rp_crashes);
+  let reference, _ =
+    completed
+      (sv ~dir:(Filename.concat dir "ref") ~seed:7 ~iterations:40
+         ~workers:2 ())
+  in
+  Alcotest.(check string) "digest unchanged"
+    (Parallel.digest reference) (Parallel.digest result);
+  let on_track t =
+    List.exists (fun sp -> sp.Prof.sp_track = t) (Prof.spans prof)
+  in
+  Alcotest.(check bool) "worker 0's track absorbed" true (on_track 0);
+  Alcotest.(check bool) "worker 1's damaged track dropped" false
+    (on_track 1);
+  Alcotest.(check bool) "supervisor track kept" true (on_track 2);
+  Alcotest.(check (list int)) "track list" [ 0; 2 ]
+    (List.map fst (Prof.tracks prof))
+
 (* -- Offline merge: associativity and commutativity --------------------- *)
 
 let test_merge_assoc_comm () =
@@ -421,11 +510,16 @@ let () =
           Alcotest.test_case "SIGKILL crash" `Slow test_sigkill_crash;
           Alcotest.test_case "hang deadline" `Slow test_hang_watchdog;
           Alcotest.test_case "retire shrinks the pool" `Slow
-            test_retire_pool_shrink ] );
+            test_retire_pool_shrink;
+          Alcotest.test_case "restart keeps trace bytes" `Slow
+            test_crash_trace_bytes ] );
       ( "interruption",
         [ Alcotest.test_case "state-dir lock" `Slow test_state_dir_lock;
           Alcotest.test_case "interrupt then resume" `Slow
             test_interrupt_then_resume ] );
+      ( "profile",
+        [ Alcotest.test_case "damaged worker profile dropped" `Slow
+            test_damaged_worker_profile ] );
       ( "merge",
         [ Alcotest.test_case "associative and commutative" `Quick
             test_merge_assoc_comm ] );
