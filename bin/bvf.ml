@@ -24,7 +24,6 @@ module Reject_reason = Bvf_verifier.Reject_reason
 module Loader = Bvf_runtime.Loader
 module Coverage = Bvf_verifier.Coverage
 module Vstats = Bvf_verifier.Vstats
-module Mclock = Bvf_util.Mclock
 module Prof = Bvf_util.Prof
 module Campaign = Bvf_core.Campaign
 module Parallel = Bvf_core.Parallel
@@ -179,8 +178,9 @@ let trace_t =
        & info [ "trace" ] ~docv:"PATH"
          ~doc:"Write a JSONL telemetry trace to $(docv): one event per \
                generated/accepted/rejected program (with its rejection \
-               reason), finding and checkpoint, plus a closing phase \
-               profile.  Inspect with $(b,bvf stats).")
+               reason), finding and checkpoint; no wall-clock times, so \
+               a fixed seed gives the same bytes.  Inspect with \
+               $(b,bvf stats); phase times come from --profile.")
 
 let log_level_t =
   Arg.(value & opt int 0
@@ -206,31 +206,6 @@ let profile_t =
                $(b,bvf profile)).  Purely an observer, like \
                --progress: traces and digests are byte-identical with \
                or without it.")
-
-(* The closing profile record is appended by the CLI, not emitted by
-   the campaign: traces stay byte-deterministic for a fixed seed, and
-   the profile carries the only wall-clock times in the file. *)
-let append_profile (path : string) (stats : Campaign.stats)
-    ~(wall_s : float) : unit =
-  let ev =
-    Telemetry.Profile
-      {
-        programs = stats.Campaign.st_generated;
-        gen_s = stats.Campaign.st_gen_s;
-        verify_s = stats.Campaign.st_verify_s;
-        sanitize_s = stats.Campaign.st_sanitize_s;
-        exec_s = stats.Campaign.st_exec_s;
-        wall_s;
-        gen_w = stats.Campaign.st_gen_w;
-        verify_w = stats.Campaign.st_verify_w;
-        sanitize_w = stats.Campaign.st_sanitize_w;
-        exec_w = stats.Campaign.st_exec_w;
-      }
-  in
-  let oc = open_out_gen [ Open_wronly; Open_append ] 0o644 path in
-  output_string oc (Telemetry.to_json ev);
-  output_char oc '\n';
-  close_out oc
 
 (* Write the collected spans once, after the run — recording is
    lock-free per domain, serialization happens only here. *)
@@ -342,15 +317,10 @@ let fuzz_cmd =
     let failslab_rate =
       if failslab_rate > 0.0 then Some failslab_rate else None
     in
-    let t0 = Mclock.now_s () in
     (* the closing sequence every executor shares; [summary] prints what
        is the executor's own *)
     let finish ?(merged = false) ~summary (stats : Campaign.stats) =
       Option.iter Progress.finish progress;
-      Option.iter
-        (fun path ->
-           append_profile path stats ~wall_s:(Mclock.elapsed_s ~since:t0))
-        trace;
       write_profile prof profile;
       summary ();
       if merged then
@@ -576,7 +546,9 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:"Aggregate a JSONL trace written by $(b,bvf fuzz --trace): \
              acceptance by program type, the rejection taxonomy \
-             histogram and the phase profile.")
+             histogram and the verifier counters.  Phase times and \
+             allocation come from $(b,bvf fuzz --profile) and \
+             $(b,bvf profile).")
     Term.(const run
           $ Arg.(required & pos 0 (some string) None
                  & info [] ~docv:"TRACE"

@@ -3,25 +3,29 @@
    A checkpoint file is a small self-describing container:
 
      line 1   BVF-CHECKPOINT <format> <tag>\n     (ASCII header)
-     line 2   <md5 hex of payload>\n             (integrity digest)
+     line 2   <md5 hex of header and payload>\n (integrity digest)
      rest     payload (marshalled OCaml value)
 
    The [tag] names the payload schema (e.g. "campaign/1") so a reader
    never unmarshals bytes written by a different producer or an older
    schema; the digest catches truncation and corruption from a crash
-   mid-write.  Writes are atomic against a killed process: the file is
-   assembled at [path ^ ".tmp"], flushed and closed, then renamed over
-   [path], so a campaign killed at any instant leaves either the
-   previous checkpoint or the new one — never a torn file.  Nothing is
-   fsynced, so the write is not durable against power loss or a kernel
-   crash: the rename may reach the disk before the data.  That is the
-   write-then-rename pattern of corpus databases in long-lived fuzzers
-   (syzkaller's corpus.db, AFL's queue); the same {!atomic_write}
-   primitive also publishes the supervisor's per-iteration heartbeats,
-   where an fsync per write would cost more than the iteration. *)
+   mid-write, and it covers the header too, so one file's header
+   spliced onto another file's payload is corrupt rather than a value
+   unmarshalled at the wrong type.  Writes are atomic against a killed
+   process: the file is assembled at [path ^ ".tmp"], flushed and
+   closed, then renamed over [path], so a campaign killed at any
+   instant leaves either the previous checkpoint or the new one —
+   never a torn file.  Nothing is fsynced, so the write is not durable
+   against power loss or a kernel crash: the rename may reach the disk
+   before the data.  That is the write-then-rename pattern of corpus
+   databases in long-lived fuzzers (syzkaller's corpus.db, AFL's
+   queue); the same {!atomic_write} primitive also publishes the
+   supervisor's per-iteration heartbeats, where an fsync per write
+   would cost more than the iteration. *)
 
 let magic = "BVF-CHECKPOINT"
-let format_version = 1
+(* 2: the digest covers the header line as well as the payload *)
+let format_version = 2
 
 type error =
   | Io of string                 (* open/read/write/rename failure *)
@@ -59,15 +63,18 @@ let atomic_write (path : string) (contents : string) : unit =
     (try Sys.remove tmp with Sys_error _ -> ());
     raise e
 
+let digest ~(header : string) (payload : string) : string =
+  Digest.to_hex (Digest.string (header ^ "\n" ^ payload))
+
 let save ~(path : string) ~(tag : string) (value : 'a) :
   (unit, error) result =
   if not (valid_tag tag) then
     invalid_arg "Checkpoint.save: tag must be non-empty and spaceless";
   let payload = Marshal.to_string value [] in
+  let header = Printf.sprintf "%s %d %s" magic format_version tag in
   match
     atomic_write path
-      (Printf.sprintf "%s %d %s\n%s\n%s" magic format_version tag
-         (Digest.to_hex (Digest.string payload)) payload)
+      (Printf.sprintf "%s\n%s\n%s" header (digest ~header payload) payload)
   with
   | () -> Ok ()
   | exception Sys_error msg -> Error (Io msg)
@@ -105,13 +112,13 @@ let load ~(path : string) ~(tag : string) : ('a, error) result =
            match String.index_from_opt contents (nl1 + 1) '\n' with
            | None -> Error (Corrupt "missing digest line")
            | Some nl2 ->
-             let digest = String.sub contents (nl1 + 1) (nl2 - nl1 - 1) in
+             let found = String.sub contents (nl1 + 1) (nl2 - nl1 - 1) in
              let payload =
                String.sub contents (nl2 + 1)
                  (String.length contents - nl2 - 1)
              in
-             if Digest.to_hex (Digest.string payload) <> digest then
-               Error (Corrupt "payload digest mismatch")
+             if digest ~header payload <> found then
+               Error (Corrupt "digest mismatch")
              else begin
                (* a digest collision or a file written by a different
                   build can still hand Marshal undecodable bytes; any

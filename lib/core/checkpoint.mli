@@ -1,12 +1,12 @@
 (** Durable, crash-resilient snapshots.
 
     A checkpoint file is a self-describing container: an ASCII header
-    naming the payload schema ([tag]), an MD5 integrity digest, and a
-    marshalled payload.  Writes are atomic (write to [path ^ ".tmp"],
-    then rename), so a process killed at any instant leaves either the
-    previous checkpoint or the new one — never a torn file.  They are
-    not fsynced: atomic against a killed process, not durable against
-    power loss.
+    naming the payload schema ([tag]), an MD5 integrity digest over the
+    header and the payload, and a marshalled payload.  Writes are
+    atomic (write to [path ^ ".tmp"], then rename), so a process killed
+    at any instant leaves either the previous checkpoint or the new one
+    — never a torn file.  They are not fsynced: atomic against a killed
+    process, not durable against power loss.
 
     The payload type is the caller's contract: a value saved under a
     [tag] must always be loaded at the same type under the same [tag].

@@ -158,9 +158,6 @@ let merge_stats ~(jobs : int) (cov : Coverage.t) (shards : shard list) :
   | [] -> invalid_arg "Parallel.join: no shards"
   | first :: _ ->
     let sum f = List.fold_left (fun acc sh -> acc + f sh.sh_stats) 0 shards in
-    let sumf f =
-      List.fold_left (fun acc sh -> acc +. f sh.sh_stats) 0. shards
-    in
     {
       Campaign.st_tool = first.sh_stats.Campaign.st_tool;
       st_version = first.sh_stats.Campaign.st_version;
@@ -182,16 +179,6 @@ let merge_stats ~(jobs : int) (cov : Coverage.t) (shards : shard list) :
       st_quarantined = sum (fun s -> s.Campaign.st_quarantined);
       st_skipped = sum (fun s -> s.Campaign.st_skipped);
       st_lint = sum (fun s -> s.Campaign.st_lint);
-      (* CPU seconds, so the phase totals sum across domains *)
-      st_gen_s = sumf (fun s -> s.Campaign.st_gen_s);
-      st_verify_s = sumf (fun s -> s.Campaign.st_verify_s);
-      st_sanitize_s = sumf (fun s -> s.Campaign.st_sanitize_s);
-      st_exec_s = sumf (fun s -> s.Campaign.st_exec_s);
-      (* allocation is per-domain too: phase minor words sum the same way *)
-      st_gen_w = sumf (fun s -> s.Campaign.st_gen_w);
-      st_verify_w = sumf (fun s -> s.Campaign.st_verify_w);
-      st_sanitize_w = sumf (fun s -> s.Campaign.st_sanitize_w);
-      st_exec_w = sumf (fun s -> s.Campaign.st_exec_w);
       st_vstats =
         (let merged = Vstats.agg_zero () in
          List.iter
@@ -275,9 +262,10 @@ let merge_traces (trace : string) ~(jobs : int) : unit =
    identity and nothing is renumbered.  The result is associative and
    commutative on everything {!Campaign.digest} covers (counts, errno
    and reason tables, findings-at-earliest-iteration, curve, vstats,
-   union coverage); only the corpus, which is capped and re-scored, and
-   the wall-clock phase timers fall outside that guarantee — both are
-   deliberately outside the digest too.  The merged snapshot carries no
+   union coverage); only the corpus, which is capped and re-scored,
+   falls outside that guarantee, and it is outside the digest too.
+   Stats carry no phase timers (those are Prof spans), so nothing
+   outside the digest is left to sum.  The merged snapshot carries no
    RNG stream ([sn_merged]): it can be merged again, reported, seeded
    from — but never resumed. *)
 let merge_snapshots (snapshots : Campaign.snapshot list) :

@@ -88,9 +88,9 @@ val merge_snapshots :
     on different machines — into one reportable snapshot.  Inputs keep
     their own (already global) iteration numbers; nothing is
     renumbered.  Associative and commutative on everything
-    {!Campaign.digest} covers (the capped, re-scored corpus and the
-    summed wall-clock phase timers are the only order-sensitive fields,
-    and both are outside the digest).  The result has [sn_merged] set:
+    {!Campaign.digest} covers (the capped, re-scored corpus is the only
+    order-sensitive field, and it is outside the digest).  The result
+    has [sn_merged] set:
     it can be merged again or reported, but {!Campaign.resume} refuses
     it.
     @raise Invalid_argument on an empty list.

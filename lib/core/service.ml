@@ -70,6 +70,18 @@ let verify_request ?(log_level = 0) (session : Loader.t)
       cv_msg = e.Venv.vmsg;
       cv_vlog = Vcache.cap_vlog vlog; cv_vstats = vstats }
 
+(* A miss's verification inside a "verify" span, with its latency from
+   Service's own clock pair: the batch summary and the serve metrics
+   read the same number whether or not a profile is recorded. *)
+let timed_verify (prof : Bvf_util.Prof.t) ~log_level (session : Loader.t)
+    (req : Verifier.request) : Vcache.verdict * float =
+  let fr = Bvf_util.Prof.start prof "verify" in
+  let t0 = Mclock.now_s () in
+  let v = verify_request ~log_level session req in
+  let dur = Mclock.elapsed_s ~since:t0 in
+  Bvf_util.Prof.stop prof fr;
+  (v, dur)
+
 (* -- JSONL codec ----------------------------------------------------- *)
 
 let hex_digits = "0123456789abcdef"
@@ -426,9 +438,8 @@ let run_batch ?(log_level = 0) ?(sink = Telemetry.null)
     let j = ref first in
     while !j < m do
       let _, req = misses.(!j) in
-      let fr = Bvf_util.Prof.start wprof "verify" in
-      verdicts.(!j) <- Some (verify_request ~log_level session req);
-      let dur, _ = Bvf_util.Prof.stop wprof fr in
+      let v, dur = timed_verify wprof ~log_level session req in
+      verdicts.(!j) <- Some v;
       durations.(!j) <- dur;
       j := !j + step
     done
@@ -495,7 +506,7 @@ let run_batch ?(log_level = 0) ?(sink = Telemetry.null)
       bs_verify_p95_s = Bvf_util.Percentile.of_sorted sorted 95;
       bs_wall_s = Mclock.elapsed_s ~since:t0 }
   in
-  ignore (Bvf_util.Prof.stop main_prof fr_join);
+  Bvf_util.Prof.stop main_prof fr_join;
   (out, summary)
 
 (* -- Serve ----------------------------------------------------------- *)
@@ -586,9 +597,7 @@ let serve ?(log_level = 0) ?(sink = Telemetry.null)
           | Some v -> incr hits; (v, true)
           | None ->
             incr misses;
-            let fr = Bvf_util.Prof.start prof "verify" in
-            let v = verify_request ~log_level session q_req in
-            let dur, _ = Bvf_util.Prof.stop prof fr in
+            let v, dur = timed_verify prof ~log_level session q_req in
             verify_s := dur :: !verify_s;
             if dur <= 1e-4 then incr le_100us
             else if dur <= 1e-3 then incr le_1ms

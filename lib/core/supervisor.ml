@@ -23,9 +23,11 @@ open Cimport
    therefore digest-comparable to a fault-free run given the same
    quarantine set — the chaos harness's oracle. *)
 
-(* /2: Campaign.stats gained the per-phase minor-words attribution
-   fields (st_gen_w..st_exec_w), changing the marshalled layout. *)
-let worker_tag = "bvf-worker/2"
+(* /2: Campaign.stats gained per-phase minor-words attribution fields,
+   changing the marshalled layout.
+   /3: the per-phase timer and minor-words fields left Campaign.stats,
+   shrinking the marshalled layout again. *)
+let worker_tag = "bvf-worker/3"
 
 (* Worker profiles reach the parent through the checkpoint container:
    the child's spans (one track) under a versioned tag, so a damaged or
@@ -163,6 +165,11 @@ let load_worker ~(path : string) :
   (worker_snapshot, Checkpoint.error) result =
   (Checkpoint.load ~path ~tag:worker_tag
    : (worker_snapshot, Checkpoint.error) result)
+
+let load_prof ~(path : string) :
+  (Bvf_util.Prof.span list, Checkpoint.error) result =
+  (Checkpoint.load ~path ~tag:prof_tag
+   : (Bvf_util.Prof.span list, Checkpoint.error) result)
 
 (* OCaml signal numbers are runtime-internal (negative); report the
    conventional POSIX numbers in artifacts. *)
@@ -390,7 +397,7 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
          failwith
            ("worker checkpoint write failed: "
             ^ Checkpoint.error_to_string e));
-      ignore (Bvf_util.Prof.stop wprof fr_iter);
+      Bvf_util.Prof.stop wprof fr_iter;
       (* spans must be on disk before the done marker: once the parent
          sees worker-<i>.done it may read the profile immediately.  A
          failed write only drops this worker's track, like a damaged
@@ -648,14 +655,11 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
      track is simply absent from the trace *)
   if Bvf_util.Prof.active prof then
     for i = 0 to workers - 1 do
-      match
-        (Checkpoint.load ~path:(prof_path dir i) ~tag:prof_tag
-         : (Bvf_util.Prof.span list, Checkpoint.error) result)
-      with
+      match load_prof ~path:(prof_path dir i) with
       | Ok spans ->
         Bvf_util.Prof.absorb prof
           ~name:(Printf.sprintf "worker%d" i) ~trk:i spans
       | Error _ -> ()
     done;
-  ignore (Bvf_util.Prof.stop sup_prof fr_join);
+  Bvf_util.Prof.stop sup_prof fr_join;
   outcome

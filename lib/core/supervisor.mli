@@ -51,6 +51,11 @@ val worker_tag : string
 
 val load_worker : path:string -> (worker_snapshot, Checkpoint.error) result
 
+val load_prof :
+  path:string -> (Bvf_util.Prof.span list, Checkpoint.error) result
+(** Read a worker's [worker-<i>.prof]: its spans, in the checkpoint
+    container under their own tag. *)
+
 val globalize : worker_snapshot -> Campaign.snapshot
 (** Renumber a worker checkpoint to global iterations
     ([local * wk_workers + wk_shard], as {!Parallel.global_iteration}),

@@ -6,10 +6,11 @@
    whitespace and field order, so traces survive hand-editing and
    foreign tooling; lines it cannot parse are skipped, not fatal.
 
-   Determinism contract (tested by test_telemetry): campaign-emitted
-   events carry no wall-clock times, so same-seed traces are
-   byte-identical; the only timed record, Profile, is appended by the
-   CLI after the run. *)
+   Determinism contract (tested by test_telemetry): events carry no
+   wall-clock times, so same-seed traces are byte-identical from the
+   first line to the last.  Phase times and allocation live in the span
+   profiler ({!Bvf_util.Prof}); a ["profile"] line left by older
+   versions is an unknown tag and skipped like any other. *)
 
 module Reject_reason = Bvf_verifier.Reject_reason
 
@@ -51,20 +52,6 @@ type event =
   | Checkpoint of { iter : int }
   | Quarantined of { iter : int }
   | Shard_merge of { shards : int; events : int }
-  | Profile of {
-      programs : int;
-      gen_s : float;
-      verify_s : float;
-      sanitize_s : float;
-      exec_s : float;
-      wall_s : float;
-      (* per-phase minor-words attribution; zero in traces written
-         before the fields existed *)
-      gen_w : float;
-      verify_w : float;
-      sanitize_w : float;
-      exec_w : float;
-    }
   (* service (bvf batch / bvf serve) admission events: one cache event
      and one verdict event per request, keyed by the request's verdict
      cache key.  Deterministic except for the hit/miss split, which
@@ -92,7 +79,7 @@ let iter_of = function
   | Service_hit { seq; _ } | Service_miss { seq; _ }
   | Service_admitted { seq; _ } | Service_rejected { seq; _ } ->
     Some seq
-  | Shard_merge _ | Profile _ -> None
+  | Shard_merge _ -> None
 
 (* -- JSON encoding -------------------------------------------------- *)
 
@@ -119,7 +106,6 @@ let to_json (ev : event) : string =
     Printf.bprintf b ",\"%s\":\"" k; escape b v; Buffer.add_char b '"'
   in
   let int k v = Printf.bprintf b ",\"%s\":%d" k v in
-  let flt k v = Printf.bprintf b ",\"%s\":%.6f" k v in
   let bol k v = Printf.bprintf b ",\"%s\":%b" k v in
   let tag name = Printf.bprintf b "{\"ev\":\"%s\"" name in
   (match ev with
@@ -159,16 +145,7 @@ let to_json (ev : event) : string =
      tag "service_rejected"; int "seq" seq; str "key" key;
      str "reason" (Reject_reason.to_string reason)
    | Shard_merge { shards; events } ->
-     tag "shard_merge"; int "shards" shards; int "events" events
-   | Profile { programs; gen_s; verify_s; sanitize_s; exec_s; wall_s;
-               gen_w; verify_w; sanitize_w; exec_w } ->
-     (* minor words are whole counts: %.0f keeps the lines short *)
-     let wrd k v = Printf.bprintf b ",\"%s\":%.0f" k v in
-     tag "profile"; int "programs" programs; flt "gen_s" gen_s;
-     flt "verify_s" verify_s; flt "sanitize_s" sanitize_s;
-     flt "exec_s" exec_s; flt "wall_s" wall_s;
-     wrd "gen_w" gen_w; wrd "verify_w" verify_w;
-     wrd "sanitize_w" sanitize_w; wrd "exec_w" exec_w);
+     tag "shard_merge"; int "shards" shards; int "events" events);
   Buffer.add_char b '}';
   Buffer.contents b
 
@@ -312,11 +289,6 @@ let of_json (line : string) : event option =
       | Some (Jnum f) -> int_of_float f
       | _ -> raise Parse
     in
-    let flt k =
-      match List.assoc_opt k fields with
-      | Some (Jnum f) -> f
-      | _ -> raise Parse
-    in
     let bol k =
       match List.assoc_opt k fields with
       | Some (Jbool b) -> b
@@ -381,21 +353,6 @@ let of_json (line : string) : event option =
       Some (Service_rejected { seq = int "seq"; key = str "key"; reason })
     | "shard_merge" ->
       Some (Shard_merge { shards = int "shards"; events = int "events" })
-    | "profile" ->
-      (* the minor-words fields postdate the profile schema: traces
-         written before them parse with the attribution at zero *)
-      let flt0 k =
-        match List.assoc_opt k fields with
-        | Some (Jnum f) -> f
-        | _ -> 0.
-      in
-      Some (Profile { programs = int "programs"; gen_s = flt "gen_s";
-                      verify_s = flt "verify_s";
-                      sanitize_s = flt "sanitize_s"; exec_s = flt "exec_s";
-                      wall_s = flt "wall_s";
-                      gen_w = flt0 "gen_w"; verify_w = flt0 "verify_w";
-                      sanitize_w = flt0 "sanitize_w";
-                      exec_w = flt0 "exec_w" })
     | _ -> None
   with
   | ev -> ev
@@ -427,7 +384,7 @@ let map_iter (f : int -> int) (ev : event) : event =
      global *)
   | Service_hit _ | Service_miss _ | Service_admitted _
   | Service_rejected _
-  | Shard_merge _ | Profile _ -> ev
+  | Shard_merge _ -> ev
 
 let emit (t : sink) (ev : event) : unit =
   match t.oc with
@@ -543,7 +500,6 @@ type summary = {
   su_reasons : (Reject_reason.t * int) list;
   su_vstats : vstats_summary option;
   su_service : service_summary option;
-  su_profile : event option;
 }
 
 let dist_of (samples : int list) : dist =
@@ -558,7 +514,6 @@ let summarize (events : event list) : summary =
   let reasons : (Reject_reason.t, int) Hashtbl.t = Hashtbl.create 8 in
   let generated = ref 0 and accepted = ref 0 and rejected = ref 0 in
   let findings = ref 0 and checkpoints = ref 0 and quarantined = ref 0 in
-  let profile = ref None in
   let vs_insn = ref [] and vs_peak = ref [] and vs_count = ref 0 in
   let vs_widen = ref [] and vs_heads = ref 0 in
   let sv_hits = ref 0 and sv_misses = ref 0 in
@@ -596,8 +551,7 @@ let summarize (events : event list) : summary =
          incr sv_rejected;
          Hashtbl.replace reasons reason
            (1 + Option.value (Hashtbl.find_opt reasons reason) ~default:0)
-       | Shard_merge _ -> ()
-       | Profile _ -> profile := Some ev)
+       | Shard_merge _ -> ())
     events;
   {
     su_events = List.length events;
@@ -635,7 +589,6 @@ let summarize (events : event list) : summary =
              ssu_misses = !sv_misses;
              ssu_admitted = !sv_admitted;
              ssu_rejected = !sv_rejected });
-    su_profile = !profile;
   }
 
 let unknown_rejections (s : summary) : int =
@@ -681,31 +634,17 @@ let pp_summary fmt (s : summary) : unit =
        sv.ssu_misses
        (pct sv.ssu_hits (sv.ssu_hits + sv.ssu_misses))
    | None -> ());
-  (match s.su_vstats with
-   | Some v ->
-     Format.fprintf fmt
-       "@.  verifier over %d analyses: insn_processed total %d (p50 %d, p95 %d), peak_states total %d (p50 %d, p95 %d)@."
-       v.vsu_count v.vsu_insn_processed.d_total v.vsu_insn_processed.d_p50
-       v.vsu_insn_processed.d_p95 v.vsu_peak_states.d_total
-       v.vsu_peak_states.d_p50 v.vsu_peak_states.d_p95;
-     if v.vsu_loop_heads > 0 || v.vsu_widen_rounds.d_total > 0 then
-       Format.fprintf fmt
-         "  loops: %d heads, widen rounds total %d (p50 %d, p95 %d)@."
-         v.vsu_loop_heads v.vsu_widen_rounds.d_total
-         v.vsu_widen_rounds.d_p50 v.vsu_widen_rounds.d_p95
-   | None -> ());
-  match s.su_profile with
-  | Some (Profile { programs; gen_s; verify_s; sanitize_s; exec_s;
-                    wall_s; gen_w; verify_w; sanitize_w; exec_w }) ->
+  match s.su_vstats with
+  | Some v ->
     Format.fprintf fmt
-      "@.  phases over %d programs: gen %.3fs, verify %.3fs, sanitize %.3fs, exec %.3fs (wall %.3fs)@."
-      programs gen_s verify_s sanitize_s exec_s wall_s;
-    let total_w = gen_w +. verify_w +. sanitize_w +. exec_w in
-    if total_w > 0. && programs > 0 then begin
-      let per w = w /. float_of_int programs in
+      "@.  verifier over %d analyses: insn_processed total %d (p50 %d, p95 %d), peak_states total %d (p50 %d, p95 %d)@."
+      v.vsu_count v.vsu_insn_processed.d_total v.vsu_insn_processed.d_p50
+      v.vsu_insn_processed.d_p95 v.vsu_peak_states.d_total
+      v.vsu_peak_states.d_p50 v.vsu_peak_states.d_p95;
+    if v.vsu_loop_heads > 0 || v.vsu_widen_rounds.d_total > 0 then
       Format.fprintf fmt
-        "  alloc per program: gen %.0fw, verify %.0fw, sanitize %.0fw, exec %.0fw (%.0fw minor total)@."
-        (per gen_w) (per verify_w) (per sanitize_w) (per exec_w)
-        (per total_w)
-    end
-  | Some _ | None -> ()
+        "  loops: %d heads, widen rounds total %d (p50 %d, p95 %d)@."
+        v.vsu_loop_heads v.vsu_widen_rounds.d_total
+        v.vsu_widen_rounds.d_p50 v.vsu_widen_rounds.d_p95
+  | None -> ()
+

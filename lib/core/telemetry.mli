@@ -5,9 +5,9 @@
     Determinism contract: events emitted by the campaign itself carry
     {b no wall-clock times} — two campaigns with the same seed produce
     byte-identical traces whatever the machine load, and a [--jobs 1]
-    trace equals the sequential one.  The only timed record, [Profile],
-    is appended once by the CLI after the run, from the merged phase
-    counters. *)
+    trace equals the sequential one.  No record carries times: phase
+    time and allocation are span-profiler data ([bvf fuzz --profile],
+    [bvf profile]). *)
 
 type event =
   | Generated of { iter : int; prog_type : string; insns : int }
@@ -57,21 +57,6 @@ type event =
           work is listed in the trace, never silently dropped *)
   | Shard_merge of { shards : int; events : int }
       (** appended by {!merge_shards} *)
-  | Profile of {
-      programs : int;
-      gen_s : float;
-      verify_s : float;
-      sanitize_s : float;
-      exec_s : float;
-      wall_s : float;
-      gen_w : float;
-      verify_w : float;
-      sanitize_w : float;
-      exec_w : float;
-    }
-      (** CLI-appended phase profile; the only event carrying times.
-          The [_w] fields are per-phase minor-words attribution and
-          postdate the schema: older traces parse with them at zero. *)
   | Service_hit of { seq : int; key : string }
       (** a service request's verdict came from the cache *)
   | Service_miss of { seq : int; key : string }
@@ -95,7 +80,7 @@ type event =
 
 val iter_of : event -> int option
 (** The iteration an event belongs to; the request sequence number for
-    service events; [None] for [Shard_merge] and [Profile]. *)
+    service events; [None] for [Shard_merge]. *)
 
 val to_json : event -> string
 (** One-line JSON encoding (no trailing newline). *)
@@ -103,7 +88,8 @@ val to_json : event -> string
 val of_json : string -> event option
 (** Inverse of {!to_json}; [None] on blank lines, parse errors or
     unknown ["ev"] tags, so readers skip foreign lines instead of
-    failing. *)
+    failing (among them the ["profile"] record older versions appended
+    to campaign traces). *)
 
 (** {1 Sinks} *)
 
@@ -143,7 +129,7 @@ val read_file : string -> event list
 
 val merge_shards : into:string -> string list -> int
 (** Merge per-shard trace files into [into]: concatenate, stable-sort
-    by {!iter_of} (shard-merge/profile records stay last), append a
+    by {!iter_of} (shard-merge records stay last), append a
     [Shard_merge] event.  Returns the number of merged events.  Missing
     shard files are treated as empty. *)
 
@@ -207,7 +193,6 @@ type summary = {
   su_service : service_summary option;
       (** service traffic; [None] when the trace carries no service
           events (campaign traces are unaffected) *)
-  su_profile : event option;  (** the last [Profile] record, if any *)
 }
 
 val summarize : event list -> summary
@@ -218,4 +203,5 @@ val unknown_rejections : summary -> int
 
 val pp_summary : Format.formatter -> summary -> unit
 (** The acceptance table: totals, per-prog-type acceptance, the
-    rejection taxonomy histogram, and the phase profile when present. *)
+    rejection taxonomy histogram, and the verifier and service
+    aggregates when present. *)

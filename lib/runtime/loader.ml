@@ -62,12 +62,6 @@ type run_result = {
   witness : Report.t list;        (* witness-oracle escapes (Kconfig
                                      witness); nested event runs are not
                                      collected *)
-  verify_s : float;               (* wall time spent verifying *)
-  sanitize_s : float;             (* wall time of fixup + sanitation *)
-  exec_s : float;                 (* wall time executing (0 if rejected) *)
-  verify_w : float;               (* minor words allocated verifying *)
-  sanitize_w : float;             (* minor words of fixup + sanitation *)
-  exec_w : float;                 (* minor words allocated executing *)
   vlog : string;                  (* verifier log, whatever the verdict *)
   vstats : Vstats.t option;       (* verifier performance counters; None
                                      when the load failed pre-analysis *)
@@ -137,43 +131,29 @@ let execute (t : t) (prog : Verifier.loaded) : Exec.result =
   end
 
 (* The complete cycle the fuzzer performs for each generated input.
-   [prof] (default: disabled) records "verify" and "exec" spans with a
-   post-hoc "sanitize" child — the sanitation rewrites run inside the
-   verifier's load and only report their time and allocation, so their
-   span is charged at the tail of the verify span. *)
+   [prof] (default: disabled) records "verify" and "exec" spans; the
+   verifier opens the "sanitize" span of the rewrites inside "verify". *)
 let load_and_run ?log_level ?(prof = Bvf_util.Prof.disabled) (t : t)
     (req : Verifier.request) : run_result =
   let baseline = Kstate.report_count t.kst in
   let fr = Bvf_util.Prof.start prof "verify" in
   let verdict, vlog, vstats =
-    Verifier.load_with_stats t.kst ~cov:t.cov ?log_level req
+    Verifier.load_with_stats ~prof t.kst ~cov:t.cov ?log_level req
   in
-  (match verdict with
-   | Ok prog ->
-     Bvf_util.Prof.record prof ~name:"sanitize"
-       ~dur_s:prog.Verifier.l_sanitize_s
-       ~minor_w:prog.Verifier.l_sanitize_w ()
-   | Error _ -> ());
-  let load_s, load_w = Bvf_util.Prof.stop prof fr in
+  Bvf_util.Prof.stop prof fr;
   match verdict with
   | Error e ->
     let all = Kstate.peek_reports t.kst in
     { verdict = Error e; status = None;
       reports = List.filteri (fun i _ -> i >= baseline) all;
-      insns_executed = 0; witness = [];
-      verify_s = load_s; sanitize_s = 0.; exec_s = 0.;
-      verify_w = load_w; sanitize_w = 0.; exec_w = 0.; vlog; vstats }
+      insns_executed = 0; witness = []; vlog; vstats }
   | Ok prog ->
     attach t prog;
     let fr = Bvf_util.Prof.start prof "exec" in
     let result = execute t prog in
-    let exec_s, exec_w = Bvf_util.Prof.stop prof fr in
+    Bvf_util.Prof.stop prof fr;
     let all = Kstate.peek_reports t.kst in
     { verdict = Ok prog; status = Some result.Exec.status;
       reports = List.filteri (fun i _ -> i >= baseline) all;
       insns_executed = result.Exec.insns_executed;
-      witness = result.Exec.witness;
-      verify_s = load_s -. prog.Verifier.l_sanitize_s;
-      sanitize_s = prog.Verifier.l_sanitize_s; exec_s;
-      verify_w = Float.max 0. (load_w -. prog.Verifier.l_sanitize_w);
-      sanitize_w = prog.Verifier.l_sanitize_w; exec_w; vlog; vstats }
+      witness = result.Exec.witness; vlog; vstats }

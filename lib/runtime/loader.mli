@@ -36,12 +36,6 @@ type run_result = {
   insns_executed : int;
   witness : Bvf_kernel.Report.t list;
       (** witness-oracle escapes, when the config records witnesses *)
-  verify_s : float;  (** wall time spent verifying *)
-  sanitize_s : float;(** wall time of the fixup + sanitation rewrites *)
-  exec_s : float;    (** wall time executing; 0 when rejected *)
-  verify_w : float;  (** minor words allocated verifying *)
-  sanitize_w : float;(** minor words of the fixup + sanitation rewrites *)
-  exec_w : float;    (** minor words allocated executing *)
   vlog : string;     (** verifier log, whatever the verdict *)
   vstats : Bvf_verifier.Vstats.t option;
       (** veristat-style verifier performance counters; [None] when the
@@ -64,5 +58,5 @@ val load_and_run :
   Bvf_verifier.Verifier.request -> run_result
 (** The complete cycle the fuzzer performs for each generated input.
     [log_level] (default 0) sizes the captured verifier log.  [prof]
-    (default: disabled) records "verify" and "exec" spans, with
-    sanitation charged as a post-hoc child of the verify span. *)
+    (default: disabled) records "verify" and "exec" spans, and the
+    verifier records the rewrites as a "sanitize" child of "verify". *)

@@ -2,10 +2,10 @@
 
     [Unix.gettimeofday] follows the adjustable realtime clock; a delta
     taken across an NTP step can be negative.  Every duration the
-    repository measures (campaign phase timers, per-program verification
-    wall time, the CLI's closing profile record) goes through this
-    module instead, which clamps readings to be globally non-decreasing.
-    Safe to call concurrently from multiple domains. *)
+    repository measures (profiler spans, per-program verification wall
+    time, progress and watchdog intervals) goes through this module
+    instead, which clamps readings to be globally non-decreasing.  Safe
+    to call concurrently from multiple domains. *)
 
 val now_s : unit -> float
 (** Seconds on a non-decreasing clock.  Consecutive calls — from any

@@ -7,11 +7,12 @@
    the CLI turns into a Chrome trace-event file.
 
    Purity contract (same discipline as [--progress]): the profiler is
-   off by default, [disabled] handles reduce every operation to the
-   clock/counter reads the caller needs anyway, nothing here ever
-   touches a campaign's RNG, telemetry sink or digest, and a profiled
-   run is byte-identical in digest and trace to an unprofiled one.
-   Times and allocation counts are observations, not behavior. *)
+   off by default, a [disabled] handle makes every operation a no-op
+   (no clock read, no allocation counter read, no allocation), nothing
+   here ever touches a campaign's RNG, telemetry sink or digest, and a
+   profiled run is byte-identical in digest and trace to an unprofiled
+   one.  Spans are the one record of phase time and allocation: times
+   and allocation counts are observations, not behavior. *)
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                              *)
@@ -50,18 +51,19 @@ type t = {
 let disabled : t =
   { h_track = 0; h_enabled = false; h_stack = []; h_spans = [] }
 
-let enabled (h : t) : bool = h.h_enabled
+(* The frame every disabled [start] returns: nothing reads it. *)
+let no_frame : frame =
+  { f_name = "";
+    f_c = { c_t0 = 0.; c_minor0 = 0.; c_major0 = 0.; c_child_s = 0. } }
 
 (* Self-exclusion: shift every open frame's minor-words baseline
-   forward past whatever the enabled path allocated since [m0], so the
-   profiler's own garbage (span records, stack conses, [Gc.quick_stat]
-   results) never shows up in a span's minor-words attribution.  The
-   campaign feeds its always-on per-phase minor-words counters from
-   {!stop}; without this, profiling would systematically inflate them
-   by tens of words per span.  What remains is only the inherent
-   imprecision of [Gc.minor_words] in native code (allocations are
-   batched per code path, so enabled and disabled branches can read a
-   few words apart) — a run-level rounding error, not a bias.
+   forward past whatever the profiler allocated since [m0], so its own
+   garbage (frames, span records, stack conses, [Gc.quick_stat]
+   results) never shows up in a span's minor-words attribution — a
+   span counts what the profiled code allocated, and a profiled run's
+   spans read what an unprofiled run allocates.  What remains is only
+   the inherent imprecision of [Gc.minor_words] in native code
+   (allocations are batched per code path), a few words per span.
    Re-reading the counter at each store keeps the loop honest: the
    store itself is an unboxed float write into an all-float record, so
    nothing is allocated after the read it compensates for. *)
@@ -72,36 +74,30 @@ let rec exclude_since (frames : frame list) (m0 : float) : unit =
     fr.f_c.c_minor0 <- fr.f_c.c_minor0 +. (Gc.minor_words () -. m0);
     exclude_since tl m0
 
-(* Opening a frame always reads the clock and the minor-allocation
-   counter: callers feed both into always-on stats accumulators (phase
-   timers, per-phase minor words), so the disabled path costs exactly
-   what the pre-profiler ad-hoc timers cost.  The major-words counter
-   lives in [Gc.quick_stat], which allocates, so it is read only when
-   the handle records spans.  The enabled-only work runs *before* the
-   baseline reads (and is excluded from enclosing frames), so both
-   paths leave the same allocations inside the new span's window, up
-   to native-code allocation batching. *)
+(* The major-words counter lives in [Gc.quick_stat], which allocates;
+   that and the frame itself are excluded from the enclosing frames
+   before the new span's own baselines are read. *)
 let start (h : t) (name : string) : frame =
-  let fr =
-    { f_name = name;
-      f_c = { c_t0 = 0.; c_minor0 = 0.; c_major0 = 0.; c_child_s = 0. } }
-  in
-  if h.h_enabled then begin
+  if not h.h_enabled then no_frame
+  else begin
     let m0 = Gc.minor_words () in
-    fr.f_c.c_major0 <- (Gc.quick_stat ()).Gc.major_words;
+    let fr =
+      { f_name = name;
+        f_c = { c_t0 = 0.; c_minor0 = 0.;
+                c_major0 = (Gc.quick_stat ()).Gc.major_words;
+                c_child_s = 0. } }
+    in
     h.h_stack <- fr :: h.h_stack;
-    exclude_since h.h_stack m0
-  end;
-  fr.f_c.c_t0 <- Mclock.now_s ();
-  fr.f_c.c_minor0 <- Gc.minor_words ();
-  fr
+    exclude_since h.h_stack m0;
+    fr.f_c.c_t0 <- Mclock.now_s ();
+    fr.f_c.c_minor0 <- Gc.minor_words ();
+    fr
+  end
 
-(* Close a frame: returns (inclusive seconds, minor words) so callers
-   can accumulate stats from the same reads that timed the span. *)
-let stop (h : t) (fr : frame) : float * float =
-  let dur = Mclock.elapsed_s ~since:fr.f_c.c_t0 in
-  let minor = Float.max 0. (Gc.minor_words () -. fr.f_c.c_minor0) in
+let stop (h : t) (fr : frame) : unit =
   if h.h_enabled then begin
+    let dur = Mclock.elapsed_s ~since:fr.f_c.c_t0 in
+    let minor = Float.max 0. (Gc.minor_words () -. fr.f_c.c_minor0) in
     let m0 = Gc.minor_words () in
     (match h.h_stack with
      | top :: rest when top == fr ->
@@ -122,46 +118,13 @@ let stop (h : t) (fr : frame) : float * float =
         sp_minor_w = minor; sp_major_w = major }
       :: h.h_spans;
     exclude_since h.h_stack m0
-  end;
-  (dur, minor)
+  end
 
 let span (h : t) (name : string) (f : unit -> 'a) : 'a =
   if not h.h_enabled then f ()
   else begin
     let fr = start h name in
-    Fun.protect ~finally:(fun () -> ignore (stop h fr)) f
-  end
-
-(* Post-hoc span: a section whose duration was measured elsewhere (the
-   verifier reports sanitation time without exposing its interior).
-   Charged as a child of the currently open frame, ending now.  A
-   record lands mid-window of its parent (the loader records "sanitize"
-   inside the open "verify" frame), so its allocations are excluded
-   from the open baselines like any other profiler garbage. *)
-let record (h : t) ~(name : string) ~(dur_s : float)
-    ?(minor_w = 0.) ?(major_w = 0.) () : unit =
-  if h.h_enabled && dur_s > 0. then begin
-    let m0 = Gc.minor_words () in
-    (* Absolute timestamps are ~1e9 s, where a double's ulp is a few
-       hundred ns: [now -. dur_s] rounds, and keeping the requested
-       duration would push the span's end past [now] — and past the
-       enclosing span's end, tripping the nesting check on perfectly
-       good traces.  Anchor the end at [now] exactly by re-deriving
-       the duration from the rounded start (the difference of two
-       nearby doubles is exact). *)
-    let now = Mclock.now_s () in
-    let start_s = now -. dur_s in
-    let dur_s = now -. start_s in
-    (match h.h_stack with
-     | parent :: _ -> parent.f_c.c_child_s <- parent.f_c.c_child_s +. dur_s
-     | [] -> ());
-    h.h_spans <-
-      { sp_track = h.h_track; sp_name = name;
-        sp_depth = List.length h.h_stack;
-        sp_start_s = start_s; sp_dur_s = dur_s;
-        sp_self_s = dur_s; sp_minor_w = minor_w; sp_major_w = major_w }
-      :: h.h_spans;
-    exclude_since h.h_stack m0
+    Fun.protect ~finally:(fun () -> stop h fr) f
   end
 
 (* ------------------------------------------------------------------ *)

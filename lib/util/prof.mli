@@ -5,10 +5,11 @@
     groups a run's handles and becomes one Chrome trace-event file
     (one [pid] per track, loadable in Perfetto).
 
-    Purity: profiling is off by default ({!null}/{!disabled}), lives
-    entirely outside campaign digests and telemetry, and a profiled run
-    is byte-identical in both to an unprofiled one — the same
-    discipline as [--progress]. *)
+    Spans are the one record of phase time and allocation.  Purity:
+    profiling is off by default ({!null}/{!disabled}, where every
+    operation is a no-op), lives entirely outside campaign digests and
+    telemetry, and a profiled run is byte-identical in both to an
+    unprofiled one — the same discipline as [--progress]. *)
 
 type span = {
   sp_track : int;     (** shard/worker index; the trace's [pid] *)
@@ -28,27 +29,16 @@ type frame
 (** An open span. *)
 
 val disabled : t
-(** The no-op handle: {!start}/{!stop} still return the elapsed time
-    and minor-words delta (callers feed always-on stats from them) but
-    record nothing and never call [Gc.quick_stat]. *)
-
-val enabled : t -> bool
+(** The no-op handle: {!start} returns a shared frame and {!stop} does
+    nothing; neither reads the clock or the allocation counters. *)
 
 val start : t -> string -> frame
-val stop : t -> frame -> float * float
-(** [stop h fr] closes the span and returns
-    [(inclusive seconds, minor words allocated)]. *)
+val stop : t -> frame -> unit
+(** [stop h fr] closes the span opened by [start h name]. *)
 
 val span : t -> string -> (unit -> 'a) -> 'a
 (** [span h name f] wraps [f] in a span; exception-safe; calls [f]
     directly on a disabled handle. *)
-
-val record :
-  t -> name:string -> dur_s:float -> ?minor_w:float -> ?major_w:float ->
-  unit -> unit
-(** Post-hoc span for a section measured elsewhere (e.g. the verifier's
-    sanitation time): charged as a child of the currently open frame,
-    ending now.  Zero-duration records are dropped. *)
 
 (** {1 Sessions} *)
 

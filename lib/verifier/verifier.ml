@@ -35,8 +35,6 @@ type loaded = {
   l_insn_processed : int;        (* verification effort *)
   l_lint : Invariants.violation list; (* Kconfig.lint violations (capped) *)
   l_lint_count : int;            (* total, including dropped-by-cap *)
-  l_sanitize_s : float;          (* wall time of fixup + sanitation *)
-  l_sanitize_w : float;          (* minor words of fixup + sanitation *)
   l_vstats : Vstats.t;           (* veristat-style performance counters *)
 }
 
@@ -152,8 +150,8 @@ let resolve_attach (kst : Kstate.t) (req : request) :
    performance counters whenever the analysis ran ([None] only for the
    early exits that never built a verification environment: structural
    checks, privilege, fd resolution, injected allocation faults). *)
-let load_with_stats (kst : Kstate.t) ~(cov : Coverage.t) ?(log_level = 0)
-    (req : request) :
+let load_with_stats ?(prof = Bvf_util.Prof.disabled) (kst : Kstate.t)
+    ~(cov : Coverage.t) ?(log_level = 0) (req : request) :
   (loaded, Venv.verr) result * string * Vstats.t option =
   let n = Array.length req.r_insns in
   if n = 0 then
@@ -195,8 +193,7 @@ let load_with_stats (kst : Kstate.t) ~(cov : Coverage.t) ?(log_level = 0)
       match Analyze.run env with
       | exception Venv.Reject verr -> (Error verr, log (), Some vst)
       | () ->
-        let t_rewrite = Bvf_util.Mclock.now_s () in
-        let w_rewrite = Gc.minor_words () in
+        let fr = Bvf_util.Prof.start prof "sanitize" in
         let insns, aux = Fixup.run kst ~insns:req.r_insns ~aux:env.Venv.aux
         in
         let insns, aux =
@@ -204,8 +201,7 @@ let load_with_stats (kst : Kstate.t) ~(cov : Coverage.t) ?(log_level = 0)
             Sanitize.run ~insns ~aux
           else (insns, aux)
         in
-        let sanitize_s = Bvf_util.Mclock.elapsed_s ~since:t_rewrite in
-        let sanitize_w = Float.max 0. (Gc.minor_words () -. w_rewrite) in
+        Bvf_util.Prof.stop prof fr;
         if
           (* failslab: allocating the rewritten program image *)
           Bvf_kernel.Failslab.should_fail kst.Kstate.failslab
@@ -240,8 +236,6 @@ let load_with_stats (kst : Kstate.t) ~(cov : Coverage.t) ?(log_level = 0)
             l_insn_processed = env.Venv.insn_processed;
             l_lint = List.rev env.Venv.lint;
             l_lint_count = env.Venv.lint_count;
-            l_sanitize_s = sanitize_s;
-            l_sanitize_w = sanitize_w;
             l_vstats = vst;
           }, log (), Some vst)
         end

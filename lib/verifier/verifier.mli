@@ -34,12 +34,6 @@ type loaded = {
   l_lint : Invariants.violation list;
       (** invariant-lint violations (capped), when [Kconfig.lint] *)
   l_lint_count : int;              (** total violations incl. dropped *)
-  l_sanitize_s : float;
-      (** wall time of the fixup + sanitation rewrites, for phase
-          profiling (the rest of the load span is verification) *)
-  l_sanitize_w : float;
-      (** minor words allocated by those rewrites, for phase-level
-          allocation attribution *)
   l_vstats : Vstats.t;
       (** veristat-style performance counters of the analysis *)
 }
@@ -66,14 +60,17 @@ val load_with_log :
     fd resolution, injected allocation faults). *)
 
 val load_with_stats :
-  Bvf_kernel.Kstate.t -> cov:Coverage.t -> ?log_level:int -> request ->
+  ?prof:Bvf_util.Prof.t -> Bvf_kernel.Kstate.t -> cov:Coverage.t ->
+  ?log_level:int -> request ->
   (loaded, Venv.verr) result * string * Vstats.t option
 (** {!load_with_log}, additionally returning the veristat-style
     performance counters whenever the analysis ran.  [None] means the
     load failed before a verification environment existed (structural
     checks, privilege, fd resolution, injected allocation faults) — a
     rejected program that reached the analysis still reports the effort
-    spent rejecting it, exactly like the kernel's verifier stats. *)
+    spent rejecting it, exactly like the kernel's verifier stats.
+    [prof] (default: disabled) records the fixup + sanitation rewrites
+    of an accepted program as a "sanitize" span. *)
 
 val verify :
   Bvf_kernel.Kstate.t -> cov:Coverage.t -> ?log_level:int -> request ->

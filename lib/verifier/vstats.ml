@@ -7,7 +7,7 @@
    by the analysis loop; it is purely deterministic — a pure function
    of (program, config) — so campaigns may fold counters into their
    digests.  Wall-clock verification time deliberately lives OUTSIDE
-   this record (Loader.run_result.verify_s, the veristat CLI's
+   this record (the profiler's "verify" spans, the veristat CLI's
    per-program timer): times are real observations, never part of a
    deterministic identity.
 

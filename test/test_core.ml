@@ -245,10 +245,7 @@ let test_oracle_rejected_is_not_correctness () =
       reports =
         [ Report.make (Report.Kernel_routine "bpf_prog_load")
             (Report.Warn "kmemdup of rewritten insns failed") ];
-      insns_executed = 0; witness = [];
-      verify_s = 0.; sanitize_s = 0.; exec_s = 0.;
-      verify_w = 0.; sanitize_w = 0.; exec_w = 0.;
-      vlog = ""; vstats = None }
+      insns_executed = 0; witness = []; vlog = ""; vstats = None }
   in
   match Oracle.classify config result with
   | [ f ] ->

@@ -48,7 +48,7 @@ let test_recording_nests_and_attributes () =
   let h = Prof.track s ~name:"t0" 0 in
   Prof.span h "outer" (fun () ->
       Prof.span h "inner" (fun () -> ignore (Sys.opaque_identity 1));
-      Prof.record h ~name:"tail" ~dur_s:0.001 ~minor_w:10.0 ());
+      Prof.span h "tail" (fun () -> ignore (Sys.opaque_identity [ 1; 2 ])));
   let spans = Prof.spans s in
   Alcotest.(check int) "three spans" 3 (List.length spans);
   let find name =
@@ -58,30 +58,37 @@ let test_recording_nests_and_attributes () =
   let tail = find "tail" in
   Alcotest.(check int) "outer is top level" 0 outer.Prof.sp_depth;
   Alcotest.(check int) "inner is nested" 1 inner.Prof.sp_depth;
-  Alcotest.(check int) "record nests under the open frame" 1
+  Alcotest.(check int) "sibling nests under the same frame" 1
     tail.Prof.sp_depth;
-  Alcotest.(check bool) "children fit inside the parent" true
-    (inner.Prof.sp_start_s >= outer.Prof.sp_start_s
-     && inner.Prof.sp_start_s +. inner.Prof.sp_dur_s
-        <= outer.Prof.sp_start_s +. outer.Prof.sp_dur_s +. 1e-9);
-  (* [tail]'s claimed duration can exceed the parent's real wall time
-     (it was measured elsewhere), so only [inner] bounds self time *)
+  List.iter
+    (fun child ->
+       Alcotest.(check bool) "children fit inside the parent" true
+         (child.Prof.sp_start_s >= outer.Prof.sp_start_s
+          && child.Prof.sp_start_s +. child.Prof.sp_dur_s
+             <= outer.Prof.sp_start_s +. outer.Prof.sp_dur_s +. 1e-9))
+    [ inner; tail ];
   Alcotest.(check bool) "self time excludes children" true
     (outer.Prof.sp_self_s
-     <= outer.Prof.sp_dur_s -. inner.Prof.sp_dur_s +. 1e-9);
+     <= outer.Prof.sp_dur_s -. inner.Prof.sp_dur_s -. tail.Prof.sp_dur_s
+        +. 1e-9);
   List.iter
     (fun sp ->
        Alcotest.(check bool) "durations non-negative" true
          (sp.Prof.sp_dur_s >= 0.0 && sp.Prof.sp_self_s >= 0.0);
        Alcotest.(check bool) "GC deltas non-negative" true
          (sp.Prof.sp_minor_w >= 0.0 && sp.Prof.sp_major_w >= 0.0))
-    spans;
-  (* the null session records nothing but still times the work *)
+    spans
+
+(* A disabled handle is a true no-op: campaigns call start/stop on it
+   for every phase of every iteration. *)
+let test_disabled_allocates_nothing () =
   let d = Prof.track Prof.null 0 in
-  let fr = Prof.start d "x" in
-  let dur, minor = Prof.stop d fr in
-  Alcotest.(check bool) "disabled stop still measures" true
-    (dur >= 0.0 && minor >= 0.0)
+  let m0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Prof.stop d (Prof.start d "x")
+  done;
+  Alcotest.(check (float 0.0)) "no minor words" 0.0
+    (Gc.minor_words () -. m0)
 
 (* -- Chrome trace-event round trip ------------------------------------- *)
 
@@ -92,13 +99,7 @@ let test_chrome_round_trip () =
   Prof.span h0 "iterate" (fun () ->
       Prof.span h0 "gen" (fun () -> ());
       Prof.span h0 "verify" (fun () ->
-          (* a post-hoc record ends now and reaches back dur_s, so the
-             parent must be older than that for the trace to nest *)
-          let t0 = Bvf_util.Mclock.now_s () in
-          while Bvf_util.Mclock.now_s () -. t0 < 5e-6 do
-            ignore (Sys.opaque_identity 0)
-          done;
-          Prof.record h0 ~name:"sanitize" ~dur_s:1e-6 ()));
+          Prof.span h0 "sanitize" (fun () -> ())));
   Prof.span h1 "iterate" (fun () -> ());
   let path = Filename.temp_file "bvf_prof" ".json" in
   Prof.write_chrome path ~tracks:(Prof.tracks s) (Prof.spans s);
@@ -150,8 +151,8 @@ let test_chrome_malformed_reported () =
 
 (* -- Adversarial Chrome trace reader ------------------------------------ *)
 
-(* A real [write_chrome] output: two named tracks, nested spans, a
-   post-hoc record and a name that needs escaping. *)
+(* A real [write_chrome] output: two named tracks, spans nested three
+   deep and a name that needs escaping. *)
 let chrome_text : string Lazy.t =
   lazy
     (let s = Prof.session () in
@@ -161,7 +162,7 @@ let chrome_text : string Lazy.t =
        Prof.span h0 "iterate" (fun () ->
            Prof.span h0 "gen" (fun () -> ());
            Prof.span h0 "verify" (fun () ->
-               Prof.record h0 ~name:"sanitize" ~dur_s:1e-9 ~minor_w:3.0 ()))
+               Prof.span h0 "sanitize" (fun () -> ())))
      done;
      Prof.span h1 "heart\nbeat" (fun () -> ());
      let path = Filename.temp_file "bvf_prof_src" ".json" in
@@ -255,27 +256,45 @@ let campaign_run ~profiled =
   Telemetry.close sink;
   let trace = read_all path in
   Sys.remove path;
-  (Campaign.digest stats, trace, stats, Prof.spans s)
+  (Campaign.digest stats, trace, Prof.spans s)
+
+(* Spans are the one record of phase allocation: every campaign phase
+   has spans that together allocated something, and each "sanitize"
+   span sits inside a "verify" span one level up on its track. *)
+let check_phase_spans (spans : Prof.span list) : unit =
+  List.iter
+    (fun name ->
+       let minor =
+         List.fold_left
+           (fun acc sp ->
+              if sp.Prof.sp_name = name then acc +. sp.Prof.sp_minor_w
+              else acc)
+           0.0 spans
+       in
+       Alcotest.(check bool) (name ^ " spans carry minor words") true
+         (minor > 0.0))
+    [ "gen"; "verify"; "sanitize"; "exec" ];
+  let end_s sp = sp.Prof.sp_start_s +. sp.Prof.sp_dur_s in
+  List.iter
+    (fun sp ->
+       if sp.Prof.sp_name = "sanitize" then
+         Alcotest.(check bool) "sanitize nests inside verify" true
+           (List.exists
+              (fun v ->
+                 v.Prof.sp_name = "verify"
+                 && v.Prof.sp_track = sp.Prof.sp_track
+                 && v.Prof.sp_depth = sp.Prof.sp_depth - 1
+                 && v.Prof.sp_start_s <= sp.Prof.sp_start_s
+                 && end_s sp <= end_s v +. 1e-9)
+              spans))
+    spans
 
 let test_sequential_profile_pure () =
-  let d1, t1, stats, spans = campaign_run ~profiled:true in
-  let d2, t2, bare, no_spans = campaign_run ~profiled:false in
+  let d1, t1, spans = campaign_run ~profiled:true in
+  let d2, t2, no_spans = campaign_run ~profiled:false in
   Alcotest.(check string) "digest unchanged by --profile" d1 d2;
   Alcotest.(check string) "trace byte-identical with --profile" t1 t2;
-  (* the enabled profiler excludes its own allocations from the
-     always-on per-phase counters; what remains is Gc.minor_words'
-     native-code batching noise — a few words per run, where an
-     unexcluded recorder would drift by tens of words per iteration *)
-  List.iter
-    (fun (name, profiled, unprofiled) ->
-       Alcotest.(check bool)
-         (name ^ " minor words within noise of --profile off") true
-         (abs_float (profiled -. unprofiled) <= 150.0))
-    [ ("gen", stats.Campaign.st_gen_w, bare.Campaign.st_gen_w);
-      ("verify", stats.Campaign.st_verify_w, bare.Campaign.st_verify_w);
-      ("sanitize", stats.Campaign.st_sanitize_w,
-       bare.Campaign.st_sanitize_w);
-      ("exec", stats.Campaign.st_exec_w, bare.Campaign.st_exec_w) ];
+  check_phase_spans spans;
   Alcotest.(check int) "unprofiled run records nothing" 0
     (List.length no_spans);
   Alcotest.(check bool) "profiled run recorded spans" true (spans <> []);
@@ -285,24 +304,12 @@ let test_sequential_profile_pure () =
   List.iter
     (fun n ->
        Alcotest.(check bool) (n ^ " span present") true (phase n))
-    [ "iterate"; "gen"; "verify"; "exec" ];
+    [ "iterate"; "gen"; "verify"; "sanitize"; "exec" ];
   List.iter
     (fun sp ->
        Alcotest.(check bool) "GC deltas non-negative" true
          (sp.Prof.sp_minor_w >= 0.0 && sp.Prof.sp_major_w >= 0.0))
-    spans;
-  (* the span-side phase totals and the always-on stats agree: stop
-     feeds both from the same clock reads *)
-  let total name =
-    List.fold_left
-      (fun acc sp ->
-         if sp.Prof.sp_name = name then acc +. sp.Prof.sp_dur_s else acc)
-      0.0 spans
-  in
-  Alcotest.(check bool) "span total tracks st_gen_s" true
-    (abs_float (total "gen" -. stats.Campaign.st_gen_s) < 1e-6);
-  Alcotest.(check bool) "phase minor words populated" true
-    (stats.Campaign.st_gen_w > 0.0 && stats.Campaign.st_verify_w > 0.0)
+    spans
 
 let parallel_run ~profiled =
   let path = Filename.temp_file "bvf_prof_par" ".jsonl" in
@@ -339,17 +346,18 @@ let test_parallel_profile_pure () =
          (List.mem_assoc n coord))
     [ "spawn"; "join"; "absorb"; "merge" ]
 
+(* Allocation attribution lives in spans only: a profiled campaign's
+   digest is the unprofiled one, and its spans attribute every phase. *)
 let test_alloc_attribution_outside_digest () =
-  let stats =
-    Campaign.run ~seed:31 ~iterations:80 strategy (config ())
+  let run prof =
+    Campaign.digest
+      (Campaign.run ~prof ~seed:31 ~iterations:80 strategy (config ()))
   in
-  let d = Campaign.digest stats in
-  stats.Campaign.st_gen_w <- stats.Campaign.st_gen_w +. 1e9;
-  stats.Campaign.st_verify_w <- 0.0;
-  stats.Campaign.st_sanitize_w <- 0.0;
-  stats.Campaign.st_exec_w <- 0.0;
-  Alcotest.(check string) "phase minor words excluded from digest" d
-    (Campaign.digest stats)
+  let s = Prof.session () in
+  let profiled = run (Prof.track s 0) in
+  Alcotest.(check string) "phase allocation excluded from digest"
+    (run Prof.disabled) profiled;
+  check_phase_spans (Prof.spans s)
 
 (* -- serve metrics ------------------------------------------------------ *)
 
@@ -441,6 +449,9 @@ let () =
         [
           Alcotest.test_case "nesting and attribution" `Quick
             test_recording_nests_and_attributes;
+          Alcotest.test_case
+            "disabled start/stop allocate 0 minor words over 1,000 calls"
+            `Quick test_disabled_allocates_nothing;
         ] );
       ( "chrome",
         [

@@ -25,6 +25,8 @@ module Corpus = Bvf_core.Corpus
 module Oracle = Bvf_core.Oracle
 module Campaign = Bvf_core.Campaign
 module Checkpoint = Bvf_core.Checkpoint
+module Supervisor = Bvf_core.Supervisor
+module Prof = Bvf_util.Prof
 
 (* -- Failslab ----------------------------------------------------------- *)
 
@@ -397,6 +399,156 @@ let test_resume_validation () =
    | _ -> Alcotest.fail "expected kernel-version mismatch to be refused");
   Sys.remove path
 
+(* -- Checkpoint schemas and adversarial loaders ---------------------------- *)
+
+let read_bytes (path : string) : string =
+  In_channel.with_open_bin path In_channel.input_all
+
+let write_string (path : string) (s : string) : unit =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+(* Files saved under the previous schema tags ("bvf-campaign/7",
+   "bvf-worker/2": stats still carried the phase timer fields) are a
+   schema error, which [bvf fuzz --resume] reports as exit 4. *)
+let test_old_schema_tags_refused () =
+  let path = Filename.temp_file "bvf_old" ".ckpt" in
+  let refused what tag load =
+    (match Checkpoint.save ~path ~tag [ 1; 2; 3 ] with
+     | Ok () -> ()
+     | Error e -> Alcotest.fail (Checkpoint.error_to_string e));
+    match load path with
+    | Error (Checkpoint.Tag_mismatch { found; _ }) ->
+      Alcotest.(check string) (what ^ " names the stale tag") tag found
+    | Error e ->
+      Alcotest.failf "%s: expected a tag mismatch, got %s" what
+        (Checkpoint.error_to_string e)
+    | Ok () -> Alcotest.failf "%s loaded under a stale tag" what
+  in
+  refused "campaign checkpoint" "bvf-campaign/7" (fun path ->
+      Result.map ignore (Campaign.load_checkpoint ~path));
+  refused "worker checkpoint" "bvf-worker/2" (fun path ->
+      Result.map ignore (Supervisor.load_worker ~path));
+  Sys.remove path
+
+type loader = {
+  ld_name : string;
+  ld_bytes : string;  (* a real file this loader accepts *)
+  ld_load : string -> (unit, Checkpoint.error) result;
+}
+
+(* The three loaders with real inputs: a campaign checkpoint, and the
+   worker checkpoint and worker profile of a one-worker supervised
+   run. *)
+let loaders : loader array Lazy.t =
+  lazy
+    (let config = Kconfig.default Version.V6_1 in
+     let ckpt = Filename.temp_file "bvf_adv" ".ckpt" in
+     ignore
+       (Campaign.run ~checkpoint_every:40
+          ~save:(Campaign.save_snapshot ~path:ckpt) ~seed:5 ~iterations:40
+          Campaign.bvf_strategy config);
+     let dir = Filename.temp_file "bvf_adv_sv" "" in
+     Sys.remove dir;
+     (match
+        Supervisor.run ~checkpoint_every:20 ~poll_s:0.02
+          ~prof:(Prof.session ()) ~workers:1 ~seed:5 ~iterations:40 ~dir
+          Campaign.bvf_strategy config
+      with
+      | Supervisor.Completed _ -> ()
+      | Supervisor.Interrupted _ -> Alcotest.fail "supervised run interrupted");
+     let worker = Filename.concat dir "worker-0.ckpt" in
+     let prof = Filename.concat dir "worker-0.prof" in
+     let ld name path load =
+       { ld_name = name; ld_bytes = read_bytes path;
+         ld_load = (fun p -> Result.map ignore (load p)) }
+     in
+     let all =
+       [| ld "campaign checkpoint" ckpt
+            (fun path -> Campaign.load_checkpoint ~path);
+          ld "worker checkpoint" worker
+            (fun path -> Supervisor.load_worker ~path);
+          ld "worker profile" prof (fun path -> Supervisor.load_prof ~path) |]
+     in
+     Sys.remove ckpt;
+     Array.iter Sys.remove (Sys.readdir dir |> Array.map (Filename.concat dir));
+     Unix.rmdir dir;
+     all)
+
+(* [lines_after k s]: [s] from just past its [k]-th newline ("" if it
+   has fewer). *)
+let rec lines_after (k : int) (s : string) : string =
+  if k = 0 then s
+  else
+    match String.index_opt s '\n' with
+    | None -> ""
+    | Some i ->
+      lines_after (k - 1) (String.sub s (i + 1) (String.length s - i - 1))
+
+let lines_upto (k : int) (s : string) : string =
+  String.sub s 0 (String.length s - String.length (lines_after k s))
+
+(* A loader and its file after one to four edits: truncations, bit
+   flips, byte splices with any of the three real files, and swaps of
+   the container's header line or header+digest lines with another
+   file's (the sections a reader trusts before it unmarshals). *)
+let gen_damaged : (int * string) QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let edit =
+    let* kind = int_bound 4 and* a = int_bound 1_000_000
+    and* b = int_bound 1_000_000 and* other = int_bound 2
+    and* bit = int_bound 7 in
+    return (kind, a, b, other, bit)
+  in
+  let apply text (kind, a, b, other, bit) =
+    let donor = (Lazy.force loaders).(other).ld_bytes in
+    let n = String.length text in
+    match kind with
+    | 0 -> String.sub text 0 (if n = 0 then 0 else a mod n)
+    | 1 when n > 0 ->
+      let by = Bytes.of_string text in
+      let i = a mod n in
+      Bytes.set by i (Char.chr (Char.code (Bytes.get by i) lxor (1 lsl bit)));
+      Bytes.to_string by
+    | 2 ->
+      let i = if n = 0 then 0 else a mod n in
+      let j = b mod String.length donor in
+      String.sub text 0 i
+      ^ String.sub donor j (String.length donor - j)
+    | 3 ->
+      let k = 1 + (a mod 2) in
+      lines_upto k donor ^ lines_after k text
+    | _ ->
+      let k = 1 + (a mod 2) in
+      lines_upto k text ^ lines_after k donor
+  in
+  let* which = int_bound 2 in
+  let* edits = list_size (int_range 1 4) edit in
+  let pristine = (Lazy.force loaders).(which).ld_bytes in
+  return (which, List.fold_left apply pristine edits)
+
+let checkpoint_loaders_never_raise =
+  QCheck2.Test.make ~count:500
+    ~name:"checkpoint loaders return Error on damaged files, never raise"
+    ~print:(fun (w, text) ->
+        Printf.sprintf "%s, %d bytes" (Lazy.force loaders).(w).ld_name
+          (String.length text))
+    gen_damaged
+    (fun (which, text) ->
+       let ld = (Lazy.force loaders).(which) in
+       let path = Filename.temp_file "bvf_adv_dmg" ".ckpt" in
+       write_string path text;
+       let result =
+         match ld.ld_load path with
+         (* an edit sequence can land back on the pristine bytes *)
+         | Ok () -> text = ld.ld_bytes
+         | Error _ -> text <> ld.ld_bytes
+         | exception e ->
+           QCheck2.Test.fail_reportf "%s raised %s" ld.ld_name
+             (Printexc.to_string e)
+       in
+       Sys.remove path;
+       result)
+
 let () =
   Alcotest.run "bvf_robustness"
     [
@@ -424,6 +576,9 @@ let () =
             test_checkpoint_resume_determinism;
           Alcotest.test_case "stop/resume digest identity" `Slow
             test_stop_resume_digest_identity;
+          Alcotest.test_case "old schema tags refused" `Quick
+            test_old_schema_tags_refused;
+          QCheck_alcotest.to_alcotest checkpoint_loaders_never_raise;
           Alcotest.test_case "resume validation" `Quick
             test_resume_validation ] );
     ]
