@@ -10,7 +10,8 @@
      bvf repro --bug bug1-nullness-propagation
      bvf selftests --count 100
      bvf lint --count 708 --out lint-report.txt
-     bvf experiments table2 *)
+     bvf experiments table2
+     bvf experiments --quick *)
 
 module Version = Bvf_ebpf.Version
 module Prog = Bvf_ebpf.Prog
@@ -1273,27 +1274,49 @@ let serve_cmd =
 
 (* -- experiments -------------------------------------------------------------- *)
 
+(* The paper artefacts, in the order a full run prints them. *)
+type experiment = Table2 | Table3 | Figure6 | Acceptance | Overhead | Ablation
+
+let experiments =
+  [ ("table2", Table2); ("table3", Table3); ("figure6", Figure6);
+    ("acceptance", Acceptance); ("overhead", Overhead);
+    ("ablation", Ablation) ]
+
 let experiments_cmd =
-  let run which =
-    match which with
-    | "table2" -> E.print_table2 (E.table2 ())
-    | "table3" -> E.print_table3 (E.coverage ())
-    | "figure6" -> E.print_figure6 (E.coverage ())
-    | "acceptance" -> E.print_acceptance (E.acceptance ())
-    | "overhead" -> E.print_overhead (E.overhead ())
-    | "ablation" -> E.print_ablation (E.ablation ())
-    | "parallel" -> E.print_parallel (E.parallel_bench ())
-    | other ->
-      Printf.eprintf "unknown experiment %S\n" other;
-      exit 2
+  let run quick which =
+    (* full size is each harness's default; --quick passes smoke sizes *)
+    let q n = if quick then Some n else None in
+    (* table3 and figure6 render the same coverage run *)
+    let coverage =
+      lazy (E.coverage ?iterations:(q 1_500) ?repetitions:(q 2) ())
+    in
+    List.iter
+      (fun e ->
+         print_endline (String.make 78 '-');
+         match e with
+         | Table2 -> E.print_table2 (E.table2 ?iterations:(q 3_000) ())
+         | Table3 -> E.print_table3 (Lazy.force coverage)
+         | Figure6 -> E.print_figure6 (Lazy.force coverage)
+         | Acceptance ->
+           E.print_acceptance (E.acceptance ?programs:(q 1_000) ())
+         | Overhead ->
+           E.print_overhead (E.overhead ?count:(q 150) ?runs:(q 10) ())
+         | Ablation -> E.print_ablation (E.ablation ?iterations:(q 1_500) ()))
+      (if which = [] then List.map snd experiments else which)
   in
   Cmd.v
     (Cmd.info "experiments"
-       ~doc:"Regenerate a paper artefact (table2, table3, figure6, \
-             acceptance, overhead, ablation, parallel).")
+       ~doc:"Regenerate the paper artefacts named (all of them when \
+             none is named), in the order given.  See EXPERIMENTS.md.")
     Term.(const run
-          $ Arg.(required & pos 0 (some string) None
-                 & info [] ~docv:"EXPERIMENT"))
+          $ Arg.(value & flag
+                 & info [ "quick" ]
+                   ~doc:"Run every experiment at smoke size (a few \
+                         seconds in all) instead of full size.")
+          $ Arg.(value & pos_all (enum experiments) []
+                 & info [] ~docv:"EXPERIMENT"
+                   ~doc:(Printf.sprintf "Experiments to run: %s."
+                           (Arg.doc_alts_enum experiments))))
 
 let () =
   let info =

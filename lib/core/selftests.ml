@@ -213,4 +213,4 @@ let build ?(count = target_count) ?config (version : Version.t) : suite =
     end
   in
   let extra = top_up [] (count - List.length hand) 1 in
-  { session; requests = hand @ extra }
+  { session; requests = List.filteri (fun i _ -> i < count) (hand @ extra) }

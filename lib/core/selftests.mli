@@ -20,6 +20,8 @@ val target_count : int
 val build :
   ?count:int -> ?config:Bvf_kernel.Kconfig.t -> Bvf_ebpf.Version.t ->
   suite
-(** [config] (default {!Bvf_kernel.Kconfig.fixed}) must still be a
+(** The first [count] (default {!target_count}) programs of the
+    corpus: the hand-written families, then structured-generator
+    programs.  [config] (default {!Bvf_kernel.Kconfig.fixed}) must still be a
     fixed verifier; use it to enable observers such as the invariant
     lint or witness recording. *)

@@ -47,22 +47,15 @@ let load_row (session : Loader.t) ~(name : string)
     vr_time_s = time_s;
   }
 
-(* The selftest corpus (the paper's 708 programs by default).
-   [Selftests.build]'s count is a floor (the hand-written programs are
-   always all included), so truncate to make [count] exact. *)
+(* The selftest corpus (the paper's 708 programs by default). *)
 let run_selftests ?count (version : Version.t) : table =
   let suite = Selftests.build ?count version in
-  let requests =
-    match count with
-    | Some n -> List.filteri (fun i _ -> i < n) suite.Selftests.requests
-    | None -> suite.Selftests.requests
-  in
   let rows =
     List.mapi
       (fun i req ->
          load_row suite.Selftests.session
            ~name:(Printf.sprintf "selftest-%04d" i) req)
-      requests
+      suite.Selftests.requests
   in
   { vt_kernel = Version.to_string version; vt_rows = rows }
 

@@ -1,8 +1,8 @@
 (* Experiment harnesses regenerating every table and figure of the
    paper's evaluation (section 6).  Each function returns structured
    results and a [print_*] companion renders them in the shape of the
-   corresponding paper artefact.  bench/main.ml and bin/bvf are thin
-   wrappers over this module.
+   corresponding paper artefact.  [bvf experiments] is the one front
+   end over this module.
 
    Scaling note: the paper's campaigns are two weeks / 48 hours on a
    40-core server; ours are iteration-budgeted seconds-scale runs on a
@@ -10,20 +10,13 @@
    wins, by what factor) rather than absolute parity. *)
 
 module Version = Bvf_ebpf.Version
-module Prog = Bvf_ebpf.Prog
-module Insn = Bvf_ebpf.Insn
 module Disasm = Bvf_ebpf.Disasm
 module Kconfig = Bvf_kernel.Kconfig
 module Venv = Bvf_verifier.Venv
 module Reject_reason = Bvf_verifier.Reject_reason
 module Verifier = Bvf_verifier.Verifier
-module Coverage = Bvf_verifier.Coverage
 module Loader = Bvf_runtime.Loader
-module Exec = Bvf_runtime.Exec
 module Campaign = Bvf_core.Campaign
-module Parallel = Bvf_core.Parallel
-module Gen = Bvf_core.Gen
-module Rng = Bvf_core.Rng
 module Oracle = Bvf_core.Oracle
 module Selftests = Bvf_core.Selftests
 module Syz_gen = Bvf_baselines.Syz_gen
@@ -210,14 +203,14 @@ let print_table3 (t : coverage_table) : unit =
               (v +. Option.value (Hashtbl.find_opt overall k) ~default:0.0))
          [ ("bvf", bvf); ("syz", syz); ("buz", buz) ];
        let imp x = 100.0 *. (bvf -. x) /. (max x 1.0) in
-       Printf.printf "%-10s %10.0f %12.0f (+%.1f%%) %12.0f (+%.1f%%)\n"
+       Printf.printf "%-10s %10.0f %12.0f (%+.1f%%) %12.0f (%+.1f%%)\n"
          (Version.to_string version)
          bvf syz (imp syz) buz (imp buz))
     Version.all;
   let n = float_of_int (List.length Version.all) in
   let avg k = Hashtbl.find overall k /. n in
   let imp x = 100.0 *. (avg "bvf" -. x) /. (max x 1.0) in
-  Printf.printf "%-10s %10.0f %12.0f (+%.1f%%) %12.0f (+%.1f%%)\n" "Overall"
+  Printf.printf "%-10s %10.0f %12.0f (%+.1f%%) %12.0f (%+.1f%%)\n" "Overall"
     (avg "bvf") (avg "syz") (imp (avg "syz")) (avg "buz") (imp (avg "buz"))
 
 let print_figure6 (t : coverage_table) : unit =
@@ -404,175 +397,6 @@ let print_overhead (o : overhead) : unit =
   Printf.printf "  instruction footprint:  %.2fx  (paper: 3.0x)\n"
     o.oh_insn_footprint
 
-(* -- Parallel scaling: the merged-shard campaign runner ------------------ *)
-
-(* Throughput of the same logical campaign sharded across 1/2/4 domains:
-   the repo's recorded performance baseline (BENCH_parallel.json).  The
-   digest column pins determinism — rerunning a row must reproduce it
-   bit-for-bit for fixed (seed, jobs). *)
-
-type parallel_row = {
-  pl_jobs : int;
-  pl_programs : int;
-  pl_seconds : float;
-  pl_rate : float;     (* programs per second, wall clock *)
-  pl_edges : int;      (* merged (union) coverage *)
-  pl_findings : int;
-  pl_digest : string;  (* merged campaign digest *)
-  pl_shards : (int * (string * float) list) list;
-      (* per-shard span totals (inclusive seconds by span name:
-         iterate/gen/verify/sanitize/exec), recorded by profiling the
-         timed run itself — span recording is cheap enough not to
-         disturb the rate column *)
-  pl_coordinator : (string * float) list;
-      (* coordinator span totals (spawn/join/trace-merge/absorb/merge)
-         — where the parallel overhead goes *)
-}
-
-type parallel_bench = {
-  pb_iterations : int;
-  pb_seed : int;
-  pb_cores : int;      (* Domain.recommended_domain_count at run time *)
-  pb_rows : parallel_row list;
-}
-
-let parallel_bench ?(iterations = 6_000) ?(seed = 1)
-    ?(jobs = [ 1; 2; 4 ]) () : parallel_bench =
-  let config = Kconfig.default Version.Bpf_next in
-  let rows =
-    List.map
-      (fun j ->
-         let prof = Bvf_util.Prof.session () in
-         let r, dt =
-           Bvf_util.Mclock.time_s (fun () ->
-               Parallel.run ~jobs:j ~prof ~seed ~iterations
-                 Campaign.bvf_strategy config)
-         in
-         let spans = Bvf_util.Prof.spans prof in
-         {
-           pl_jobs = j;
-           pl_programs = r.Parallel.pr_stats.Campaign.st_generated;
-           pl_seconds = dt;
-           pl_rate =
-             (if dt > 0.0 then
-                float_of_int r.Parallel.pr_stats.Campaign.st_generated /. dt
-              else 0.0);
-           pl_edges = r.Parallel.pr_stats.Campaign.st_edges;
-           pl_findings =
-             Hashtbl.length r.Parallel.pr_stats.Campaign.st_findings;
-           pl_digest = Parallel.digest r;
-           pl_shards =
-             List.init j (fun i ->
-                 (i, Bvf_util.Prof.totals_for spans ~trk:i));
-           (* Parallel.run records the coordinator on track [jobs] *)
-           pl_coordinator = Bvf_util.Prof.totals_for spans ~trk:j;
-         })
-      jobs
-  in
-  {
-    pb_iterations = iterations;
-    pb_seed = seed;
-    pb_cores = Domain.recommended_domain_count ();
-    pb_rows = rows;
-  }
-
-let parallel_speedup (p : parallel_bench) (row : parallel_row) : float =
-  match List.find_opt (fun r -> r.pl_jobs = 1) p.pb_rows with
-  | Some base when base.pl_rate > 0.0 -> row.pl_rate /. base.pl_rate
-  | Some _ | None -> 1.0
-
-let print_parallel (p : parallel_bench) : unit =
-  Printf.printf
-    "Parallel campaign scaling (%d iterations, seed %d, %d cores available)\n"
-    p.pb_iterations p.pb_seed p.pb_cores;
-  Printf.printf "  %5s %9s %9s %13s %9s %8s %8s\n" "jobs" "programs"
-    "seconds" "programs/sec" "speedup" "edges" "findings";
-  List.iter
-    (fun r ->
-       Printf.printf "  %5d %9d %9.2f %13.0f %8.2fx %8d %8d\n" r.pl_jobs
-         r.pl_programs r.pl_seconds r.pl_rate (parallel_speedup p r)
-         r.pl_edges r.pl_findings)
-    p.pb_rows;
-  List.iter
-    (fun r -> Printf.printf "  digest jobs=%d: %s\n" r.pl_jobs r.pl_digest)
-    p.pb_rows;
-  let fmt_spans spans =
-    String.concat ", "
-      (List.map (fun (n, s) -> Printf.sprintf "%s %.2fs" n s) spans)
-  in
-  List.iter
-    (fun r ->
-       Printf.printf "  spans jobs=%d:\n" r.pl_jobs;
-       List.iter
-         (fun (i, spans) ->
-            Printf.printf "    shard %d: %s\n" i (fmt_spans spans))
-         r.pl_shards;
-       match
-         List.sort (fun (_, a) (_, b) -> compare (b : float) a)
-           r.pl_coordinator
-       with
-       | [] -> ()  (* jobs=1 runs in the calling domain: no coordinator *)
-       | (name, s) :: _ as all ->
-         Printf.printf "    coordinator: %s\n" (fmt_spans all);
-         Printf.printf "    dominant parallel overhead: %s (%.3fs)\n"
-           name s)
-    p.pb_rows;
-  Printf.printf
-    "  note: edge counts legitimately differ across jobs — each shard \
-     generates\n\
-    \  a different program stream (seed+i), so the union of explored \
-     edges is a\n\
-    \  property of the schedule-independent program SET, which changes \
-     with the\n\
-    \  sharding (see DESIGN.md, \"Parallel campaigns\")\n";
-  let max_jobs =
-    List.fold_left (fun m r -> max m r.pl_jobs) 1 p.pb_rows
-  in
-  if p.pb_cores < max_jobs then
-    Printf.printf
-      "  warning: only %d cores available for up to %d jobs — domains \
-       time-share\n\
-      \  cores, so rate and speedup numbers understate true scaling\n"
-      p.pb_cores max_jobs
-
-let parallel_to_json (p : parallel_bench) : string =
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "{\n";
-  Printf.bprintf b "  \"bench\": \"parallel\",\n";
-  Printf.bprintf b "  \"iterations\": %d,\n" p.pb_iterations;
-  Printf.bprintf b "  \"seed\": %d,\n" p.pb_seed;
-  Printf.bprintf b "  \"cores\": %d,\n" p.pb_cores;
-  Printf.bprintf b "  \"rows\": [\n";
-  let span_obj spans =
-    "{"
-    ^ String.concat ", "
-        (List.map
-           (fun (n, s) -> Printf.sprintf "\"%s\": %.6f" n s)
-           spans)
-    ^ "}"
-  in
-  List.iteri
-    (fun i r ->
-       Printf.bprintf b
-         "    {\"jobs\": %d, \"programs\": %d, \"seconds\": %.6f, \
-          \"programs_per_sec\": %.1f, \"speedup_vs_1\": %.3f, \
-          \"edges\": %d, \"findings\": %d, \"digest\": \"%s\",\n"
-         r.pl_jobs r.pl_programs r.pl_seconds r.pl_rate
-         (parallel_speedup p r) r.pl_edges r.pl_findings r.pl_digest;
-       Printf.bprintf b "     \"coordinator\": %s,\n"
-         (span_obj r.pl_coordinator);
-       Printf.bprintf b "     \"shards\": [%s]}%s\n"
-         (String.concat ",\n                "
-            (List.map
-               (fun (s, spans) ->
-                  Printf.sprintf "{\"shard\": %d, \"spans\": %s}" s
-                    (span_obj spans))
-               r.pl_shards))
-         (if i < List.length p.pb_rows - 1 then "," else ""))
-    p.pb_rows;
-  Printf.bprintf b "  ]\n}\n";
-  Buffer.contents b
-
 (* -- Ablations (DESIGN.md section 6) ------------------------------------- *)
 
 type ablation_row = {
@@ -619,178 +443,3 @@ let print_ablation (rows : ablation_row list) : unit =
          (100.0 *. r.ab_accept) r.ab_correctness_bugs)
     rows
 
-(* -- Hot-path microbench (BENCH_hotpath.json) ----------------------------- *)
-
-(* Sequential single-core throughput of the three pipeline hot paths:
-   verification (the dominant campaign phase), pre-decoded execution,
-   and the end-to-end campaign step.  Alongside wall-clock rates the
-   rows record minor-heap allocation per program (Gc.minor_words) —
-   the state-pool and decoded-executor work shows up there first — and
-   the campaign row pins the determinism digest, so a perf change that
-   accidentally alters behavior fails loudly in the regression gate. *)
-
-type hotpath_row = {
-  hp_name : string;                 (* "verify" | "exec" | "campaign" *)
-  hp_programs : int;                (* loads / executions / iterations *)
-  hp_insns : int;                   (* insns analyzed or executed *)
-  hp_seconds : float;
-  hp_progs_per_sec : float;
-  hp_ns_per_insn : float;
-  hp_minor_words_per_prog : float;  (* allocation pressure *)
-}
-
-type hotpath_bench = {
-  hb_count : int;       (* selftest corpus size (verify/exec rows) *)
-  hb_repeat : int;      (* verify passes over the corpus *)
-  hb_exec_runs : int;   (* executions per program *)
-  hb_iterations : int;  (* campaign-row iteration budget *)
-  hb_seed : int;
-  hb_digest : string;   (* campaign digest: determinism pin *)
-  hb_rows : hotpath_row list;
-}
-
-let hp_row ~name ~programs ~insns ~seconds ~minor_words : hotpath_row =
-  {
-    hp_name = name;
-    hp_programs = programs;
-    hp_insns = insns;
-    hp_seconds = seconds;
-    hp_progs_per_sec =
-      (if seconds > 0.0 then float_of_int programs /. seconds else 0.0);
-    hp_ns_per_insn =
-      (if insns > 0 then seconds *. 1e9 /. float_of_int insns else 0.0);
-    hp_minor_words_per_prog =
-      (if programs > 0 then minor_words /. float_of_int programs else 0.0);
-  }
-
-(* Verify row: [repeat] sequential verification passes over the
-   selftest corpus (fixed verifier, sanitation on — the campaign's
-   dominant workload shape). *)
-let hotpath_verify ?(count = Selftests.target_count) ?(repeat = 10)
-    ?(version = Version.Bpf_next) () : hotpath_row =
-  let suite = Selftests.build ~count version in
-  let kst = suite.Selftests.session.Loader.kst in
-  let cov = suite.Selftests.session.Loader.cov in
-  let programs = ref 0 and insns = ref 0 in
-  let w0 = Gc.minor_words () in
-  let t0 = Bvf_util.Mclock.now_s () in
-  for _ = 1 to repeat do
-    List.iter
-      (fun req ->
-         incr programs;
-         match Verifier.load kst ~cov req with
-         | Ok l -> insns := !insns + l.Verifier.l_insn_processed
-         | Error _ -> ())
-      suite.Selftests.requests
-  done;
-  let seconds = Bvf_util.Mclock.elapsed_s ~since:t0 in
-  let minor_words = Gc.minor_words () -. w0 in
-  hp_row ~name:"verify" ~programs:!programs ~insns:!insns ~seconds
-    ~minor_words
-
-(* Exec row: [runs] executions of each verified selftest through the
-   pre-decoded interpreter (decode happens once per program, amortized
-   by the per-session decode cache). *)
-let hotpath_exec ?(count = Selftests.target_count) ?(runs = 60)
-    ?(version = Version.Bpf_next) () : hotpath_row =
-  let suite = Selftests.build ~count version in
-  let session = suite.Selftests.session in
-  let loaded =
-    List.filter_map
-      (fun req ->
-         match
-           Verifier.load session.Loader.kst ~cov:session.Loader.cov req
-         with
-         | Ok l -> Some l
-         | Error _ -> None)
-      suite.Selftests.requests
-  in
-  let programs = ref 0 and insns = ref 0 in
-  let w0 = Gc.minor_words () in
-  let t0 = Bvf_util.Mclock.now_s () in
-  List.iter
-    (fun prog ->
-       for _ = 1 to runs do
-         incr programs;
-         let r = Loader.execute session prog in
-         insns := !insns + r.Exec.insns_executed
-       done)
-    loaded;
-  let seconds = Bvf_util.Mclock.elapsed_s ~since:t0 in
-  let minor_words = Gc.minor_words () -. w0 in
-  hp_row ~name:"exec" ~programs:!programs ~insns:!insns ~seconds
-    ~minor_words
-
-(* Campaign row: the end-to-end sequential pipeline (generate, verify,
-   sanitize, execute, oracle) — the number the ROADMAP hot-path item
-   tracks — plus the digest that pins behavior. *)
-let hotpath_campaign ?(iterations = 6_000) ?(seed = 1) () :
-  hotpath_row * string =
-  let config = Kconfig.default Version.Bpf_next in
-  let w0 = Gc.minor_words () in
-  let stats, seconds =
-    Bvf_util.Mclock.time_s (fun () ->
-        Campaign.run ~seed ~iterations Campaign.bvf_strategy config)
-  in
-  let minor_words = Gc.minor_words () -. w0 in
-  let row =
-    hp_row ~name:"campaign" ~programs:stats.Campaign.st_generated
-      ~insns:stats.Campaign.st_vstats.Bvf_verifier.Vstats.ag_insn_processed
-      ~seconds ~minor_words
-  in
-  (row, Campaign.digest stats)
-
-let hotpath_bench ?(count = Selftests.target_count) ?(repeat = 10)
-    ?(exec_runs = 60) ?(iterations = 6_000) ?(seed = 1) () :
-  hotpath_bench =
-  let verify = hotpath_verify ~count ~repeat () in
-  let exec = hotpath_exec ~count ~runs:exec_runs () in
-  let campaign, digest = hotpath_campaign ~iterations ~seed () in
-  {
-    hb_count = count;
-    hb_repeat = repeat;
-    hb_exec_runs = exec_runs;
-    hb_iterations = iterations;
-    hb_seed = seed;
-    hb_digest = digest;
-    hb_rows = [ verify; exec; campaign ];
-  }
-
-let print_hotpath (h : hotpath_bench) : unit =
-  Printf.printf
-    "Hot-path microbench (sequential, %d selftests x%d, %d exec runs, \
-     %d campaign iterations, seed %d)\n"
-    h.hb_count h.hb_repeat h.hb_exec_runs h.hb_iterations h.hb_seed;
-  Printf.printf "  %-10s %9s %12s %9s %13s %10s %14s\n" "row" "programs"
-    "insns" "seconds" "programs/sec" "ns/insn" "minor-w/prog";
-  List.iter
-    (fun r ->
-       Printf.printf "  %-10s %9d %12d %9.3f %13.0f %10.1f %14.0f\n"
-         r.hp_name r.hp_programs r.hp_insns r.hp_seconds
-         r.hp_progs_per_sec r.hp_ns_per_insn r.hp_minor_words_per_prog)
-    h.hb_rows;
-  Printf.printf "  campaign digest: %s\n" h.hb_digest
-
-let hotpath_to_json (h : hotpath_bench) : string =
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "{\n";
-  Printf.bprintf b "  \"bench\": \"hotpath\",\n";
-  Printf.bprintf b "  \"count\": %d,\n" h.hb_count;
-  Printf.bprintf b "  \"repeat\": %d,\n" h.hb_repeat;
-  Printf.bprintf b "  \"exec_runs\": %d,\n" h.hb_exec_runs;
-  Printf.bprintf b "  \"iterations\": %d,\n" h.hb_iterations;
-  Printf.bprintf b "  \"seed\": %d,\n" h.hb_seed;
-  Printf.bprintf b "  \"digest\": \"%s\",\n" h.hb_digest;
-  Printf.bprintf b "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-       Printf.bprintf b
-         "    {\"name\": \"%s\", \"programs\": %d, \"insns\": %d, \
-          \"seconds\": %.6f, \"programs_per_sec\": %.1f, \
-          \"ns_per_insn\": %.2f, \"minor_words_per_prog\": %.1f}%s\n"
-         r.hp_name r.hp_programs r.hp_insns r.hp_seconds
-         r.hp_progs_per_sec r.hp_ns_per_insn r.hp_minor_words_per_prog
-         (if i < List.length h.hb_rows - 1 then "," else ""))
-    h.hb_rows;
-  Printf.bprintf b "  ]\n}\n";
-  Buffer.contents b

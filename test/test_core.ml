@@ -376,7 +376,7 @@ let test_campaign_curve_no_duplicate_sample () =
 (* -- Selftests ----------------------------------------------------------------- *)
 
 let test_selftests_all_verified () =
-  let suite = Selftests.build ~count:120 Version.Bpf_next in
+  let suite = Selftests.build ~count:250 Version.Bpf_next in
   Alcotest.(check bool) "suite is populated" true
     (List.length suite.Selftests.requests >= 120);
   List.iter

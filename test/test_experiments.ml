@@ -67,7 +67,7 @@ let test_acceptance_shape () =
      | _ -> false)
 
 let test_overhead_shape () =
-  let o = E.overhead ~count:80 ~runs:8 () in
+  let o = E.overhead ~count:250 ~runs:8 () in
   Alcotest.(check bool) "programs measured" true (o.E.oh_programs >= 60);
   Alcotest.(check bool)
     (Printf.sprintf "slowdown %.2f in (0.1, 3.0)" o.E.oh_exec_slowdown)

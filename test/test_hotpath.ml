@@ -5,6 +5,9 @@
    - pooling identity: a campaign with state/frame recycling disabled
      produces the same digest as the pooled default — recycling warm
      memory never leaks state between paths;
+   - exact pins: the verify, exec and campaign hot paths do pinned
+     work (instructions, campaign digest) with pinned allocation per
+     program;
    - prune-signature soundness: the cheap filter in front of
      [Vstate.states_equal] has no false negatives — whenever the full
      walk would prune, the signatures let it run;
@@ -59,6 +62,107 @@ let pool_identity () =
       campaign_digest
   in
   Alcotest.(check string) "pool on/off digests" pooled unpooled
+
+(* -- Exact hot-path pins --------------------------------------------------- *)
+
+(* The deterministic half of a hot-path throughput bench, with no
+   clock: the work done (instructions analyzed or executed, the
+   campaign digest) is pinned exactly, and minor-heap allocation per
+   program may not grow more than 1% over its pin.  Wall time is
+   perfbench's job.  Three rows:
+   - verify: 20 passes over a 400-program selftest corpus;
+   - exec: 120 runs of each of those programs once verified;
+   - campaign: a 3000-iteration seed-1 BVF campaign on bpf-next.
+   A change that alters the work or allocates more on purpose
+   refreshes the pins below in the same commit; the failure message
+   carries the measured value. *)
+
+(* [f ()] and the minor words it allocated *)
+let with_minor_words f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. w0)
+
+(* Fails with every way a row left its pins.  [digest] is (measured,
+   pinned); [words] is the row's total. *)
+let check_pins ?(digest = ("", "")) name ~pinned:(pinned_insns, pinned_words)
+    ~programs ~insns ~words =
+  let digest, pinned_digest = digest in
+  let words = words /. float_of_int programs in
+  let problems =
+    List.filter_map Fun.id
+      [ (if digest <> pinned_digest then
+           Some (Printf.sprintf "digest %s, pinned %s" digest pinned_digest)
+         else None);
+        (if insns <> pinned_insns then
+           Some (Printf.sprintf "%d insns, pinned %d" insns pinned_insns)
+         else None);
+        (if words > pinned_words *. 1.01 then
+           Some
+             (Printf.sprintf
+                "%.1f minor words/program, more than 1%% over %.1f" words
+                pinned_words)
+         else None) ]
+  in
+  if problems <> [] then
+    Alcotest.failf "%s: %s" name (String.concat "; " problems)
+
+let pins_verify () =
+  let suite = Selftests.build ~count:400 Version.Bpf_next in
+  let session = suite.Selftests.session in
+  let programs = ref 0 and insns = ref 0 in
+  let (), words =
+    with_minor_words (fun () ->
+        for _ = 1 to 20 do
+          List.iter
+            (fun req ->
+               incr programs;
+               match
+                 Verifier.load session.Loader.kst ~cov:session.Loader.cov req
+               with
+               | Ok l -> insns := !insns + l.Verifier.l_insn_processed
+               | Error _ -> ())
+            suite.Selftests.requests
+        done)
+  in
+  check_pins "verify" ~pinned:(324240, 6854.7) ~programs:!programs
+    ~insns:!insns ~words
+
+let pins_exec () =
+  let suite = Selftests.build ~count:400 Version.Bpf_next in
+  let session = suite.Selftests.session in
+  let loaded =
+    List.filter_map
+      (fun req ->
+         Result.to_option
+           (Verifier.load session.Loader.kst ~cov:session.Loader.cov req))
+      suite.Selftests.requests
+  in
+  let programs = ref 0 and insns = ref 0 in
+  let (), words =
+    with_minor_words (fun () ->
+        List.iter
+          (fun prog ->
+             for _ = 1 to 120 do
+               incr programs;
+               let r = Loader.execute session prog in
+               insns := !insns + r.Bvf_runtime.Exec.insns_executed
+             done)
+          loaded)
+  in
+  check_pins "exec" ~pinned:(4206688, 812.8) ~programs:!programs
+    ~insns:!insns ~words
+
+let pins_campaign () =
+  let s, words =
+    with_minor_words (fun () ->
+        Campaign.run ~seed:1 ~iterations:3000 Campaign.bvf_strategy
+          (Kconfig.default Version.Bpf_next))
+  in
+  check_pins "campaign"
+    ~digest:(Campaign.digest s, "237c370418d115cea2211ed559ae4665")
+    ~pinned:(316275, 19792.1) ~programs:s.Campaign.st_generated
+    ~insns:s.Campaign.st_vstats.Vstats.ag_insn_processed ~words
 
 (* -- Prune-signature soundness -------------------------------------------- *)
 
@@ -564,8 +668,7 @@ let snapshots : Vstate.t array array Lazy.t =
   lazy
     (let kst = session_kst () in
      let reqs =
-       List.filteri (fun i _ -> i < 120)
-         (Selftests.build ~count:120 Version.Bpf_next).Selftests.requests
+       (Selftests.build ~count:120 Version.Bpf_next).Selftests.requests
        @ generated 200
      in
      Array.of_list
@@ -730,6 +833,11 @@ let () =
       ( "state pool",
         [ Alcotest.test_case "pool on/off campaign digests equal" `Slow
             pool_identity ] );
+      ( "pins",
+        [ Alcotest.test_case "verify insns and words" `Slow pins_verify;
+          Alcotest.test_case "exec insns and words" `Slow pins_exec;
+          Alcotest.test_case "campaign digest, insns and words" `Slow
+            pins_campaign ] );
       ("prune signatures", [ qt prune_sig_sound ]);
       ( "narrow-load regression",
         [ Alcotest.test_case "pre-fix behavior diverges (Bug12)" `Quick

@@ -52,7 +52,7 @@ let load_selftest_stats () =
            ~cov:session.Loader.cov req
        in
        (verdict, Option.get vstats))
-    (List.filteri (fun i _ -> i < 60) suite.Selftests.requests)
+    suite.Selftests.requests
 
 let test_vstats_deterministic_and_consistent () =
   let a = load_selftest_stats () and b = load_selftest_stats () in

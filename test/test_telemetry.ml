@@ -61,7 +61,7 @@ let test_selftests_rejections_classified () =
      same map population (fd numbering is deterministic, so requests
      resolve the same fds).  Plenty of programs now get rejected; every
      single rejection must land somewhere in the taxonomy. *)
-  let suite = Selftests.build ~count:150 Version.Bpf_next in
+  let suite = Selftests.build ~count:250 Version.Bpf_next in
   let config = Kconfig.make ~unprivileged:true Version.Bpf_next in
   let session = Loader.create config in
   let _ = Loader.create_map session (Map.array_def ~value_size:48 ()) in
